@@ -76,12 +76,15 @@ bench-smoke:
 
 # Bounded model-checking smoke: exhaustive DFS over the 2-host smoke
 # workload (must stay clean) plus one representative mutation per
-# oracle family (must be killed). Budgeted to finish well under a
-# minute; the full sweep is mc-deep.
+# oracle family (must be killed), and skip-conversion on the MRSW,
+# update and quorum engines to prove each receive path converts.
+# Budgeted to finish well under a minute; the full sweep is mc-deep.
 mc-smoke:
 	go run ./cmd/mermaid-mc -workload=basic -strategy=dfs -max-schedules=1200
 	go run ./cmd/mermaid-mc -workload=basic -mutation=skip-invalidation -max-schedules=100
 	go run ./cmd/mermaid-mc -workload=basic -mutation=skip-conversion -max-schedules=100
+	go run ./cmd/mermaid-mc -workload=update -mutation=skip-conversion -max-schedules=100
+	go run ./cmd/mermaid-mc -workload=quorum -mutation=skip-conversion -max-schedules=100
 	go run ./cmd/mermaid-mc -workload=dynamic -strategy=dfs -max-schedules=1200
 	go run ./cmd/mermaid-mc -workload=dynamic -mutation=stale-probable-owner -max-schedules=100
 	go run ./cmd/mermaid-mc -workload=quorum -strategy=dfs -max-schedules=1200

@@ -133,7 +133,7 @@ func (m *Module) handleRemoteRead(p *sim.Proc, req *proto.Message) {
 	}
 	data := make([]byte, length) // vet:ignore hot-alloc — retained by the dedup reply cache
 	copy(data, lp.data[offset:])
-	m.convertForClient(p, page, data, HostID(req.From), false)
+	m.convertForeign(p, page, data, m.arch.Kind, m.hosts[req.From].Kind)
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindRemoteReadReply, Page: req.Page, Data: data})
 }
 
@@ -173,42 +173,9 @@ func (m *Module) handleRemoteWrite(p *sim.Proc, req *proto.Message) {
 	data := bufpool.Get(len(req.Data))
 	copy(data, req.Data)
 	bufpool.Put(req.TakeWire())
-	m.convertForClient(p, page, data, HostID(req.From), true)
+	m.convertForeign(p, page, data, m.hosts[req.From].Kind, m.arch.Kind)
 	copy(lp.data[offset:], data)
 	bufpool.Put(data)
 	m.checkpoint("central-write", page)
 	m.ep.Reply(p, req, &proto.Message{Kind: proto.KindRemoteWriteAck, Page: req.Page})
-}
-
-// convertForClient converts a region between the server's and a
-// client's representations (inbound=true converts client→server).
-func (m *Module) convertForClient(p *sim.Proc, page PageNo, data []byte, client HostID, inbound bool) {
-	if !m.cfg.ConversionEnabled {
-		return
-	}
-	clientArch := m.hosts[client]
-	if clientArch.Compatible(m.arch) {
-		return
-	}
-	mt, ok := m.meta[page]
-	if !ok {
-		return
-	}
-	typ := m.cfg.Registry.MustGet(mt.typeID)
-	n := len(data) / typ.Size
-	if n == 0 {
-		return
-	}
-	p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-	from, to := m.arch, clientArch
-	if inbound {
-		from, to = clientArch, m.arch
-	}
-	ptrOff := int32(m.base(to.Kind)) - int32(m.base(from.Kind))
-	rep, err := m.cfg.Registry.ConvertRegion(mt.typeID, data[:n*typ.Size], from, to, ptrOff)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: central conversion page %d: %v", page, err))
-	}
-	m.stats.Conversions++
-	m.stats.ConvReport.Add(rep)
 }

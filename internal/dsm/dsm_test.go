@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -189,21 +190,90 @@ func TestHeterogeneousMigrationConvertsIntegers(t *testing.T) {
 	})
 }
 
+// TestConversionDisabledCorruptsData pins the one receive-side
+// conversion rule under every engine: a value written on a Sun and read
+// on a Firefly, and one written on the Firefly and read back on the Sun,
+// survive only because the receiving side converts. Both ways of
+// skipping the conversion — turning it off, and the injected
+// MutSkipConversion bug — must corrupt both values. Under RC each
+// hand-off is bracketed by the writer's release and the reader's
+// acquire.
 func TestConversionDisabledCorruptsData(t *testing.T) {
-	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly}, withoutConversion())
-	r.run("main", func(p *sim.Proc) {
-		addr, err := r.mods[0].Alloc(p, conv.Int32, 8)
-		if err != nil {
-			t.Error(err)
-			return
+	sources := []struct {
+		name    string
+		opt     rigOpt
+		corrupt bool
+	}{
+		{"converted", func(*Config) {}, false},
+		{"conversion-disabled", withoutConversion(), true},
+		{"skip-conversion", func(c *Config) { c.Mutation = MutSkipConversion }, true},
+	}
+	for _, pol := range []Policy{PolicyMRSW, PolicyMigration, PolicyCentral, PolicyUpdate, PolicyQuorum, PolicyRC} {
+		for _, src := range sources {
+			t.Run(fmt.Sprintf("%v/%s", pol, src.name), func(t *testing.T) {
+				r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly}, withPolicy(pol), src.opt)
+				sun, ff := r.mods[0], r.mods[1]
+				handoff := func(p *sim.Proc, from, to *Module) {
+					if pol != PolicyRC {
+						return
+					}
+					payload, err := from.SyncModel().ReleasePayload(p)
+					if err == nil {
+						err = to.SyncModel().AcquirePayload(p, payload)
+					}
+					if err != nil {
+						t.Error(err)
+					}
+				}
+				r.run("main", func(p *sim.Proc) {
+					addr, err := sun.Alloc(p, conv.Int32, 8)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want := [2]int32{0x01020304, 0x05060708}
+					var got [2]int32
+					sun.WriteInt32s(p, addr, want[:1])
+					handoff(p, sun, ff)
+					ff.ReadInt32s(p, addr, got[:1])
+					ff.WriteInt32s(p, addr+4, want[1:])
+					handoff(p, ff, sun)
+					sun.ReadInt32s(p, addr+4, got[1:])
+					for i, dir := range []string{"Sun→Firefly", "Firefly→Sun"} {
+						if survived := got[i] == want[i]; survived == src.corrupt {
+							t.Errorf("%s value %#x read as %#x; want corrupted=%v", dir, want[i], got[i], src.corrupt)
+						}
+					}
+				})
+			})
 		}
-		r.mods[0].WriteInt32s(p, addr, []int32{0x01020304, 0, 0, 0, 0, 0, 0, 0})
-		got := make([]int32, 1)
-		r.mods[1].ReadInt32s(p, addr, got)
-		if got[0] == 0x01020304 {
-			t.Error("value survived unconverted cross-architecture transfer; heterogeneity unmodelled")
-		}
-	})
+	}
+}
+
+// TestConvertForeignPanicsNamePeerAndPage pins the receive path's policy
+// for bytes it cannot convert: an unknown architecture code and a page
+// with no allocation metadata are protocol bugs, reported with the host
+// and page.
+func TestConvertForeignPanicsNamePeerAndPage(t *testing.T) {
+	r := newRig(t, []arch.Kind{arch.Sun, arch.Firefly})
+	mustPanic := func(what string, fn func(), wants ...string) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg := fmt.Sprint(recover())
+			for _, w := range wants {
+				if !strings.Contains(msg, w) {
+					t.Errorf("%s: panic %q does not mention %q", what, msg, w)
+				}
+			}
+		}()
+		fn()
+	}
+	buf := make([]byte, 8)
+	mustPanic("unknown architecture", func() { r.mods[1].convertForeign(nil, 3, buf, arch.Kind(99), arch.Firefly) },
+		"host 1", "page 3", "unknown architecture 99")
+	mustPanic("missing metadata", func() { r.mods[1].convertForeign(nil, 5, buf, arch.Sun, arch.Firefly) },
+		"host 1", "page 5", "no allocation metadata")
 }
 
 func TestFloatsSurviveIEEEVaxMigration(t *testing.T) {

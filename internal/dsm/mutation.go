@@ -41,8 +41,10 @@ const (
 	// page's used bytes by one, so the allocated prefix is no longer a
 	// whole number of elements (and can overrun the page).
 	MutAllocOverrun
-	// MutSkipConversion installs page bodies from incompatible machines
-	// without invoking the conversion routine, leaving foreign-format
+	// MutSkipConversion makes the one receive-side conversion
+	// (convertForeign) keep bytes from incompatible machines verbatim —
+	// page bodies, update pushes, quorum images, recovered copies, RC
+	// diffs and central-server traffic alike — leaving foreign-format
 	// bytes behind (§2.3's corruption scenario).
 	MutSkipConversion
 	// MutForgetRecovery makes a manager skip the copyset re-own after an

@@ -720,28 +720,7 @@ func (m *Module) installBody(p *sim.Proc, page PageNo, resp *proto.Message, writ
 		m.trace("upgrade", page)
 	case flags&flagData != 0:
 		data := resp.Data
-		srcKind := arch.Kind(resp.SrcArch)
-		srcArch, err := arch.ByKind(srcKind)
-		if err != nil {
-			panic(fmt.Sprintf("dsm: page reply with unknown architecture %d", resp.SrcArch))
-		}
-		if len(data) > 0 && m.cfg.ConversionEnabled && !srcArch.Compatible(m.arch) &&
-			m.cfg.Mutation != MutSkipConversion { // injected bug: foreign bytes kept verbatim
-			mt, ok := m.meta[page]
-			if !ok {
-				panic(fmt.Sprintf("dsm: host %d received data for page %d with no allocation metadata", m.id, page))
-			}
-			typ := m.cfg.Registry.MustGet(mt.typeID)
-			n := len(data) / typ.Size
-			p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-			ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(srcKind))
-			rep, err := m.cfg.Registry.ConvertRegion(mt.typeID, data[:n*typ.Size], srcArch, m.arch, ptrOff)
-			if err != nil {
-				panic(fmt.Sprintf("dsm: converting page %d: %v", page, err))
-			}
-			m.stats.Conversions++
-			m.stats.ConvReport.Add(rep)
-		}
+		m.convertForeign(p, page, data, arch.Kind(resp.SrcArch), m.arch.Kind)
 		copy(lp.data, data)
 		if write {
 			lp.access = WriteAccess
@@ -760,6 +739,55 @@ func (m *Module) installBody(p *sim.Proc, page PageNo, resp *proto.Message, writ
 	bufpool.Put(resp.TakeWire())
 	p.Sleep(m.jittered(m.cfg.Params.InstallCost.Of(m.arch.Kind)))
 	m.checkpoint("page-installed", page)
+}
+
+// convertForeign is the one receive-side conversion rule (§2.3): buf,
+// holding a page's bytes in the representation of machine kind from, is
+// converted in place to that of kind to per the page's allocated type,
+// and this host is charged the per-element conversion cost. Every path
+// that moves bytes between representations goes through it: page
+// bodies (fetch, RC, quorum, recovery), update pushes, RC diffs (their
+// packed payload — whole elements of the page's one type), and the
+// central server's traffic in both directions. It does nothing and
+// charges nothing when conversion is disabled, the representations are
+// compatible or buf holds no whole element. An unknown architecture
+// code or a page without allocation metadata is a protocol bug: it
+// panics naming the host and page.
+func (m *Module) convertForeign(p *sim.Proc, page PageNo, buf []byte, from, to arch.Kind) {
+	fromArch, toArch := m.archOf(page, from), m.archOf(page, to)
+	if !m.cfg.ConversionEnabled || fromArch.Compatible(toArch) || len(buf) == 0 ||
+		m.cfg.Mutation == MutSkipConversion { // injected bug: foreign bytes kept verbatim
+		return
+	}
+	mt, ok := m.meta[page]
+	if !ok {
+		panic(fmt.Sprintf("dsm: host %d received data for page %d with no allocation metadata", m.id, page))
+	}
+	typ := m.cfg.Registry.MustGet(mt.typeID)
+	n := len(buf) / typ.Size
+	if n == 0 {
+		return
+	}
+	p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
+	ptrOff := int32(m.base(to)) - int32(m.base(from))
+	rep, err := m.cfg.Registry.ConvertRegion(mt.typeID, buf[:n*typ.Size], fromArch, toArch, ptrOff)
+	if err != nil {
+		panic(fmt.Sprintf("dsm: host %d converting page %d: %v", m.id, page, err))
+	}
+	m.stats.Conversions++
+	m.stats.ConvReport.Add(rep)
+}
+
+// archOf resolves a machine kind taking part in a transfer of page.
+func (m *Module) archOf(page PageNo, k arch.Kind) arch.Arch {
+	if k == m.arch.Kind {
+		return m.arch
+	}
+	a, err := arch.ByKind(k)
+	if err != nil {
+		panic(fmt.Sprintf("dsm: host %d received data for page %d from unknown architecture %d", m.id, page, k))
+	}
+	return a
 }
 
 // confirmPatience bounds how many suspicion-timeout rounds a manager

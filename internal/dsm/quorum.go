@@ -277,7 +277,7 @@ func (m *Module) quorumCollect(p *sim.Proc, page PageNo) (qp *quorumPage, confir
 		r := replies[winIdx]
 		buf := bufpool.Get(len(r.Data))
 		copy(buf, r.Data)
-		m.quorumConvert(p, page, buf, arch.Kind(r.SrcArch))
+		m.convertForeign(p, page, buf, arch.Kind(r.SrcArch), m.arch.Kind)
 		if qp.tag.less(winner) {
 			copy(qp.data, buf)
 			qp.tag = winner
@@ -380,35 +380,6 @@ func (m *Module) quorumFanout(p *sim.Proc, page PageNo, need int, mk func(dst Ho
 	}
 }
 
-// quorumConvert converts a page image received from a replica of the
-// given machine kind into this host's representation, in place.
-func (m *Module) quorumConvert(p *sim.Proc, page PageNo, data []byte, srcKind arch.Kind) {
-	srcArch, err := arch.ByKind(srcKind)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: quorum reply with unknown architecture %d", srcKind))
-	}
-	if len(data) == 0 || !m.cfg.ConversionEnabled || srcArch.Compatible(m.arch) {
-		return
-	}
-	mt, ok := m.meta[page]
-	if !ok {
-		return
-	}
-	typ := m.cfg.Registry.MustGet(mt.typeID)
-	n := len(data) / typ.Size
-	if n == 0 {
-		return
-	}
-	p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-	ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(srcKind))
-	rep, cerr := m.cfg.Registry.ConvertRegion(mt.typeID, data[:n*typ.Size], srcArch, m.arch, ptrOff)
-	if cerr != nil {
-		panic(fmt.Sprintf("dsm: converting quorum page %d: %v", page, cerr))
-	}
-	m.stats.Conversions++
-	m.stats.ConvReport.Add(rep)
-}
-
 // handleQuorumRead answers a phase-1 query with this replica's version:
 // tag in the args, image (allocated prefix, native representation) in
 // the data. It takes no locks, deliberately: the replica may itself be
@@ -456,7 +427,7 @@ func (m *Module) handleQuorumWrite(p *sim.Proc, req *proto.Message) {
 		data := bufpool.Get(len(req.Data))
 		copy(data, req.Data)
 		bufpool.Put(req.TakeWire())
-		m.quorumConvert(p, page, data, srcKind)
+		m.convertForeign(p, page, data, srcKind, m.arch.Kind)
 		// Re-check after the conversion sleep: a concurrent install may
 		// have advanced the replica past this version.
 		if qp.tag.less(tag) {

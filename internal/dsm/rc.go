@@ -221,7 +221,7 @@ func (m *Module) rcFaultPage(p *sim.Proc, pg PageNo) error {
 // no twin can exist (a twin implies a prior write, which implies
 // residency) and the image lands verbatim.
 func (m *Module) rcInstallPage(p *sim.Proc, pg PageNo, resp *proto.Message) {
-	m.rcConvertIncoming(p, pg, resp.Data, resp.SrcArch)
+	m.convertForeign(p, pg, resp.Data, arch.Kind(resp.SrcArch), m.arch.Kind)
 	lp := m.localPageFor(pg)
 	copy(lp.data, resp.Data)
 	lp.access = WriteAccess
@@ -462,7 +462,7 @@ func (m *Module) rcPull(p *sim.Proc, pg PageNo) error {
 			continue // a concurrent pull on this host already applied it
 		}
 		if e.writer != m.id {
-			m.rcConvertDiff(p, pg, &e.diff, src)
+			m.convertForeign(p, pg, e.diff.Data, arch.Kind(src), m.arch.Kind)
 			m.rcApplyDiff(pg, &e.diff)
 		}
 		rc.applied[pg] = e.version
@@ -500,7 +500,7 @@ func (m *Module) rcInstallWhole(p *sim.Proc, pg PageNo, resp *proto.Message, ver
 			local = &d
 		}
 	}
-	m.rcConvertIncoming(p, pg, resp.Data, resp.SrcArch)
+	m.convertForeign(p, pg, resp.Data, arch.Kind(resp.SrcArch), m.arch.Kind)
 	copy(lp.data, resp.Data)
 	if tw := rc.twins[pg]; tw != nil {
 		copy(tw, lp.data)
@@ -544,59 +544,6 @@ func (m *Module) mustApply(pg PageNo, d *conv.Diff, dst []byte) {
 	if err := m.cfg.Registry.Apply(d, dst); err != nil {
 		panic(fmt.Sprintf("dsm: host %d applying diff to page %d: %v", m.id, pg, err))
 	}
-}
-
-// rcConvertIncoming converts a received whole-page body in place when
-// it comes from an incompatible machine, charging the conversion cost —
-// the same contract as installBody's fetch path.
-func (m *Module) rcConvertIncoming(p *sim.Proc, pg PageNo, data []byte, srcCode uint8) {
-	srcKind := arch.Kind(srcCode)
-	srcArch, err := arch.ByKind(srcKind)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: page body with unknown architecture %d", srcCode))
-	}
-	if len(data) == 0 || !m.cfg.ConversionEnabled || srcArch.Compatible(m.arch) ||
-		m.cfg.Mutation == MutSkipConversion { // injected bug: foreign bytes kept verbatim
-		return
-	}
-	mt, ok := m.meta[pg]
-	if !ok {
-		panic(fmt.Sprintf("dsm: host %d received data for page %d with no allocation metadata", m.id, pg))
-	}
-	typ := m.cfg.Registry.MustGet(mt.typeID)
-	n := len(data) / typ.Size
-	p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-	ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(srcKind))
-	rep, err := m.cfg.Registry.ConvertRegion(mt.typeID, data[:n*typ.Size], srcArch, m.arch, ptrOff)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: converting page %d: %v", pg, err))
-	}
-	m.stats.Conversions++
-	m.stats.ConvReport.Add(rep)
-}
-
-// rcConvertDiff converts a received diff's payload in place when it
-// comes from an incompatible machine — packed whole elements of the
-// page's one type, so it converts exactly like a page body (conv.Diff).
-func (m *Module) rcConvertDiff(p *sim.Proc, pg PageNo, d *conv.Diff, srcCode uint8) {
-	srcKind := arch.Kind(srcCode)
-	srcArch, err := arch.ByKind(srcKind)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: diff with unknown architecture %d", srcCode))
-	}
-	if d.Empty() || !m.cfg.ConversionEnabled || srcArch.Compatible(m.arch) ||
-		m.cfg.Mutation == MutSkipConversion { // injected bug: foreign bytes kept verbatim
-		return
-	}
-	typ := m.cfg.Registry.MustGet(d.Type)
-	p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, d.Elements()))
-	ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(srcKind))
-	rep, err := m.cfg.Registry.ConvertDiff(d, srcArch, m.arch, ptrOff)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: converting diff for page %d: %v", pg, err))
-	}
-	m.stats.Conversions++
-	m.stats.ConvReport.Add(rep)
 }
 
 // recordSyncOp appends an Acquire/Release record carrying this host's
@@ -655,7 +602,7 @@ func (m *Module) handleRCDiff(p *sim.Proc, req *proto.Message) {
 		panic(fmt.Sprintf("dsm: home %d decoding diff for page %d: %v", m.id, pg, err))
 	}
 	m.protoCPU.Use(p, m.jittered(m.cfg.Params.OwnerProcess.Of(m.arch.Kind)))
-	m.rcConvertDiff(p, pg, &d, src)
+	m.convertForeign(p, pg, d.Data, arch.Kind(src), m.arch.Kind)
 	hm := m.rcHomeFor(pg)
 	m.rcApplyDiff(pg, &d)
 	hm.version++

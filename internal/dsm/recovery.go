@@ -202,28 +202,8 @@ func (m *Module) recoveryCandidates(ent *mgrEntry, dead HostID) []HostID {
 // ownership gap.
 func (m *Module) installRecovered(p *sim.Proc, page PageNo, resp *proto.Message) {
 	data := resp.Data
-	srcKind := arch.Kind(resp.SrcArch)
-	srcArch, err := arch.ByKind(srcKind)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: recovery reply with unknown architecture %d", resp.SrcArch))
-	}
 	lp := m.localPageFor(page)
-	if len(data) > 0 && m.cfg.ConversionEnabled && !srcArch.Compatible(m.arch) {
-		mt, ok := m.meta[page]
-		if !ok {
-			panic(fmt.Sprintf("dsm: host %d recovering page %d with no allocation metadata", m.id, page))
-		}
-		typ := m.cfg.Registry.MustGet(mt.typeID)
-		n := len(data) / typ.Size
-		p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-		ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(srcKind))
-		rep, cerr := m.cfg.Registry.ConvertRegion(mt.typeID, data[:n*typ.Size], srcArch, m.arch, ptrOff)
-		if cerr != nil {
-			panic(fmt.Sprintf("dsm: converting recovered page %d: %v", page, cerr))
-		}
-		m.stats.Conversions++
-		m.stats.ConvReport.Add(rep)
-	}
+	m.convertForeign(p, page, data, arch.Kind(resp.SrcArch), m.arch.Kind)
 	copy(lp.data, data)
 	lp.access = ReadAccess
 	m.stats.PagesFetched++

@@ -197,27 +197,6 @@ func (m *Module) applyUpdateBytes(p *sim.Proc, page PageNo, offset int, data []b
 	buf := bufpool.Get(len(data))
 	defer bufpool.Put(buf)
 	copy(buf, data)
-	writerArch, err := arch.ByKind(writerKind)
-	if err != nil {
-		return
-	}
-	if m.cfg.ConversionEnabled && !writerArch.Compatible(m.arch) {
-		mt, ok := m.meta[page]
-		if !ok {
-			return
-		}
-		typ := m.cfg.Registry.MustGet(mt.typeID)
-		n := len(buf) / typ.Size
-		if n > 0 {
-			p.Sleep(m.cfg.Params.RegionConvertCost(m.arch.Kind, typ.Cost, n))
-			ptrOff := int32(m.base(m.arch.Kind)) - int32(m.base(writerKind))
-			rep, cerr := m.cfg.Registry.ConvertRegion(mt.typeID, buf[:n*typ.Size], writerArch, m.arch, ptrOff)
-			if cerr != nil {
-				panic(fmt.Sprintf("dsm: converting update for page %d: %v", page, cerr))
-			}
-			m.stats.Conversions++
-			m.stats.ConvReport.Add(rep)
-		}
-	}
+	m.convertForeign(p, page, buf, writerKind, m.arch.Kind)
 	copy(lp.data[offset:], buf)
 }

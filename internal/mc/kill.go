@@ -13,8 +13,8 @@ import (
 	"repro/internal/dsm"
 )
 
-// killPlan assigns each mutation the cheapest workload whose schedule
-// space provably contains a violating run:
+// killPlan assigns each mutation the workloads whose schedule spaces
+// provably contain a violating run — usually the cheapest one:
 //
 //   - drop-copyset needs a third party: with two hosts the un-recorded
 //     reader is always the next requester or the owner of the transfer,
@@ -32,6 +32,11 @@ import (
 //     on ownership handoff, which only the "dynamic" workload runs —
 //     every other mutation targets the MRSW invalidate path that
 //     "basic" exercises.
+//   - skip-conversion disables the one receive-side conversion every
+//     engine shares, so it is hunted under each engine that moves bytes
+//     between a Sun and a Firefly: MRSW fetches ("basic"), update pushes
+//     ("update"), quorum replica images ("quorum"), the recovered copy
+//     after an owner crash ("crash") and RC pages and diffs ("rc").
 //   - stale-quorum-read and split-brain-write corrupt the SC-ABD
 //     engine, so they need the "quorum" workload. Both are killable
 //     only because quorum operations complete at the FIRST majority:
@@ -46,24 +51,24 @@ import (
 //     the puller has a live twin, which the workload stages explicitly
 //     (an open write interval held across an acquire). The kills come
 //     from the happens-before oracle and the exact final assertions.
-var killPlan = map[dsm.Mutation]string{
-	dsm.MutSkipInvalidation:   "basic",
-	dsm.MutDropCopyset:        "ring",
-	dsm.MutStaleOwner:         "basic",
-	dsm.MutUnsequencedUpdate:  "update",
-	dsm.MutLostAck:            "ring",
-	dsm.MutDoubleWriterGrant:  "basic",
-	dsm.MutAllocOverrun:       "basic",
-	dsm.MutSkipConversion:     "basic",
-	dsm.MutForgetRecovery:     "crash",
-	dsm.MutStaleProbableOwner: "dynamic",
-	dsm.MutStaleQuorumRead:    "quorum",
-	dsm.MutSplitBrainWrite:    "quorum",
-	dsm.MutLostDiff:           "rc",
-	dsm.MutStaleTwinMerge:     "rc",
+var killPlan = map[dsm.Mutation][]string{
+	dsm.MutSkipInvalidation:   {"basic"},
+	dsm.MutDropCopyset:        {"ring"},
+	dsm.MutStaleOwner:         {"basic"},
+	dsm.MutUnsequencedUpdate:  {"update"},
+	dsm.MutLostAck:            {"ring"},
+	dsm.MutDoubleWriterGrant:  {"basic"},
+	dsm.MutAllocOverrun:       {"basic"},
+	dsm.MutSkipConversion:     {"basic", "update", "quorum", "crash", "rc"},
+	dsm.MutForgetRecovery:     {"crash"},
+	dsm.MutStaleProbableOwner: {"dynamic"},
+	dsm.MutStaleQuorumRead:    {"quorum"},
+	dsm.MutSplitBrainWrite:    {"quorum"},
+	dsm.MutLostDiff:           {"rc"},
+	dsm.MutStaleTwinMerge:     {"rc"},
 }
 
-// KillResult records one mutation's fate.
+// KillResult records one mutation's fate on one workload.
 type KillResult struct {
 	// Mutation is the injected bug; Workload the scenario hunted in.
 	Mutation dsm.Mutation
@@ -88,8 +93,8 @@ type KillOpts struct {
 	Only []dsm.Mutation
 }
 
-// RunKillSuite hunts every mutation in the plan with a bounded DFS and
-// reports each one's fate, in mutation order.
+// RunKillSuite hunts every mutation in the plan with a bounded DFS, once
+// per planned workload, and reports each hunt's fate in mutation order.
 func RunKillSuite(o KillOpts) ([]KillResult, error) {
 	if o.MaxSchedules <= 0 {
 		o.MaxSchedules = 200
@@ -104,26 +109,28 @@ func RunKillSuite(o KillOpts) ([]KillResult, error) {
 	}
 	var out []KillResult
 	for _, m := range muts {
-		wname, ok := killPlan[m]
+		wnames, ok := killPlan[m]
 		if !ok {
 			return nil, fmt.Errorf("mc: no kill plan for mutation %s", m)
 		}
-		w, err := Lookup(wname)
-		if err != nil {
-			return nil, err
+		for _, wname := range wnames {
+			w, err := Lookup(wname)
+			if err != nil {
+				return nil, err
+			}
+			rep, err := RunDFS(w, m, DFSOpts{MaxSchedules: o.MaxSchedules, MaxSteps: o.MaxSteps})
+			if err != nil {
+				return nil, err
+			}
+			kr := KillResult{Mutation: m, Workload: wname, Schedules: rep.Schedules}
+			if rep.Violating != nil {
+				kr.Killed = true
+				kr.Token = rep.Token
+				kr.Outcome = rep.Violating.Outcome
+				kr.Detail = rep.Violating.Detail
+			}
+			out = append(out, kr)
 		}
-		rep, err := RunDFS(w, m, DFSOpts{MaxSchedules: o.MaxSchedules, MaxSteps: o.MaxSteps})
-		if err != nil {
-			return nil, err
-		}
-		kr := KillResult{Mutation: m, Workload: wname, Schedules: rep.Schedules}
-		if rep.Violating != nil {
-			kr.Killed = true
-			kr.Token = rep.Token
-			kr.Outcome = rep.Violating.Outcome
-			kr.Detail = rep.Violating.Detail
-		}
-		out = append(out, kr)
 	}
 	return out, nil
 }

@@ -188,7 +188,7 @@ func TestKillSuite(t *testing.T) {
 	}
 	if !testing.Short() {
 		txt := FormatKillResults(rs)
-		if !strings.Contains(txt, "14/14 mutations killed") {
+		if !strings.Contains(txt, "18/18 mutations killed") {
 			t.Errorf("kill summary:\n%s", txt)
 		}
 	}

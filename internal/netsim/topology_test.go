@@ -241,6 +241,11 @@ func TestOneSegmentMatchesBus(t *testing.T) {
 // 1023 receivers on the switched 1024-host topology must allocate
 // nothing at all.
 func TestDeliverySteadyStateNoAllocs(t *testing.T) {
+	// One P throughout, as testing.AllocsPerRun measures: the kernel⇄
+	// process channel rendezvous takes sudogs from per-P caches, and a
+	// goroutine resuming on another P can find that cache empty and
+	// allocate one — scheduler bookkeeping, not delivery-path allocation.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const hosts = 1024
 	const warmup, measured = 16, 64
 	params := model.Default()
