@@ -23,7 +23,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/sim/... ./internal/dsm/... ./internal/dsync/... ./internal/threads/...
+	go test -race ./internal/sim/... ./internal/dsm/... ./internal/dsync/... ./internal/threads/... ./internal/cluster/... ./internal/netsim/... ./internal/remoteop/...
 
 # Two runs: the first warms the build cache (and fails fast on
 # findings), the second emits the JSON coverage report CI archives and

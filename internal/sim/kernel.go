@@ -1,9 +1,16 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // A Kernel owns a virtual clock and a set of processes. Exactly one
-// process executes at any moment: the kernel and the running process hand
-// control back and forth over channels, so no locking is needed anywhere
-// in simulation code and runs are fully deterministic for a given seed.
+// goroutine — the one calling Run, or one process — executes
+// simulation code at any moment, and control passes between them over
+// channels, so no locking is needed anywhere in simulation code and runs
+// are fully deterministic for a given seed. While Run, RunUntil or RunFor
+// is looping, a process that parks dispatches the following events
+// itself: callbacks run inline, a wake for itself returns without
+// a goroutine switch, and a wake for another process hands control
+// straight to that process. Control returns to Run's caller only when the
+// loop's condition fails or the queue drains, so the order of events is
+// the heap order whoever dispatches them.
 //
 // Processes are ordinary functions running on goroutines. They interact
 // with virtual time exclusively through their *Proc handle: Sleep, Park,
@@ -182,7 +189,15 @@ type Kernel struct {
 	chooser Chooser
 	elig    []*event // scratch buffer for same-instant alternatives
 	free    []*event // dispatched event records, recycled by newEvent
+
+	// The continue condition of the active Run/RunUntil/RunFor loop,
+	// read by cont. Step and code outside a run leave looping unset.
+	looping  bool
+	until    func() bool // RunUntil's done; nil otherwise
+	deadline Time        // RunFor's deadline; maxTime otherwise
 }
+
+const maxTime = Time(1<<63 - 1)
 
 type yieldKind int
 
@@ -190,12 +205,13 @@ const (
 	yieldParked yieldKind = iota + 1
 	yieldDone
 	yieldPanic
+	yieldCallbackPanic // a callback (or the chooser) panicked on a process goroutine
 )
 
 type yieldMsg struct {
 	kind yieldKind
 	p    *proc
-	pval any // panic value for yieldPanic
+	pval any // panic value for yieldPanic and yieldCallbackPanic
 }
 
 // NewKernel creates a kernel whose random source is seeded with seed.
@@ -331,43 +347,59 @@ func (k *Kernel) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 // empty queues) are left suspended; Stalled reports them.
 //
 // Run panics if a process panicked, re-raising the process's panic value
-// wrapped with its name.
-func (k *Kernel) Run() {
-	for k.Step() {
-	}
-}
+// wrapped with its name. A panicking callback's value is re-raised as is.
+func (k *Kernel) Run() { k.run(nil, maxTime) }
 
-// RunUntil executes events until done() reports true (checked after
+// RunUntil executes events until done() reports true (checked before
 // every event) or the queue drains. Use it when background activity —
 // server loops, persistent retransmission — would otherwise keep the
 // event queue non-empty forever.
-func (k *Kernel) RunUntil(done func() bool) {
-	for !done() && k.Step() {
-	}
-}
+//
+// done is called from whichever goroutine holds the loop at the time —
+// the caller's or a parked process's — and may be called more than once
+// between two events, so it must not block or have side effects.
+func (k *Kernel) RunUntil(done func() bool) { k.run(done, maxTime) }
 
 // RunFor executes events until the clock would pass the given deadline,
 // leaving later events queued, or until no events remain. The clock is
 // advanced to the deadline even if the queue drains earlier.
 func (k *Kernel) RunFor(d Duration) {
 	deadline := k.now.Add(d)
-	for {
-		if k.chooser != nil {
-			k.discardDead()
-		}
-		if k.events.isEmpty() || k.events.Peek().at > deadline {
-			break
-		}
-		k.step(k.nextEvent())
-	}
+	k.run(nil, deadline)
 	if k.now < deadline {
 		k.now = deadline
 	}
 }
 
+// run is the loop behind Run, RunUntil and RunFor. It installs the
+// loop's condition for cont so that parking processes can carry the
+// loop on themselves, and removes it when the loop ends, panics
+// included.
+func (k *Kernel) run(until func() bool, deadline Time) {
+	k.looping, k.until, k.deadline = true, until, deadline
+	defer func() { k.looping, k.until = false, nil }()
+	for k.cont() {
+		k.step(k.nextEvent())
+	}
+}
+
+// cont reports whether the active run loop goes on to another event:
+// one is queued, it is not past RunFor's deadline, and RunUntil's done
+// is still false. Outside a run it is always false.
+func (k *Kernel) cont() bool {
+	if !k.looping || (k.until != nil && k.until()) {
+		return false
+	}
+	if k.chooser != nil {
+		k.discardDead()
+	}
+	return !k.events.isEmpty() && k.events.Peek().at <= k.deadline
+}
+
 // Step dispatches the next event and reports whether one was dispatched.
 // It is the single-step form of Run, for drivers — the model checker —
-// that bound a run by event count.
+// that bound a run by event count. Outside a run no process carries the
+// loop on, so a process that Step resumes hands control straight back.
 func (k *Kernel) Step() bool {
 	e := k.nextEvent()
 	if e == nil {
@@ -449,42 +481,21 @@ func (k *Kernel) LivePending() int {
 	return n
 }
 
-// step dispatches one event — run its callback, or resume its process
-// and wait for the process to park again or finish — then recycles the
-// event record.
+// step dispatches one event on the goroutine of Run's (or Step's)
+// caller: it recycles the event record and, if the event wakes a
+// process, resumes that process and waits until control comes back —
+// from whichever process ends up holding the loop.
 func (k *Kernel) step(e *event) {
-	k.dispatch(e)
+	p, reason := k.dispatch(e), e.reason
 	k.releaseEvent(e)
-}
-
-func (k *Kernel) dispatch(e *event) {
-	if e.canceled {
+	if p == nil {
 		return
 	}
-	k.now = e.at
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	if e.fnArg != nil {
-		e.fnArg(e.arg)
-		return
-	}
-	p := e.proc
-	// The epoch gate drops stale wakes: any event targeting a park
-	// episode the process has already left is a no-op. wakePending is
-	// only a scheduling dedupe, not a correctness gate, because timer
-	// events (Sleep, ParkTimeout) are scheduled without setting it.
-	if p.done || p.epoch != e.epoch {
-		return
-	}
-	p.wakePending = false
-	p.epoch++
-	p.resume <- e.reason // vet:ignore chan-send — kernel⇄process rendezvous
+	p.resume <- reason // vet:ignore chan-send — kernel⇄process rendezvous
 	msg := <-k.yield
 	switch msg.kind {
 	case yieldParked:
-		// The process registered its next wake condition before parking.
+		// The holder registered its next wake condition before parking.
 	case yieldDone:
 		msg.p.done = true
 		delete(k.procs, msg.p.id)
@@ -492,7 +503,82 @@ func (k *Kernel) dispatch(e *event) {
 		msg.p.done = true
 		delete(k.procs, msg.p.id)
 		panic(fmt.Sprintf("sim: process %q panicked: %v", msg.p.name, msg.pval))
+	case yieldCallbackPanic:
+		panic(msg.pval)
 	}
+}
+
+// dispatch decides what an event does, for Run's caller and for parking
+// processes alike. It runs a callback and returns nil; it drops a
+// canceled event or a stale wake (the process finished or left that park
+// episode) and returns nil; otherwise it returns the process to resume,
+// with its epoch advanced so that every other wake for the episode it
+// leaves goes stale.
+func (k *Kernel) dispatch(e *event) *proc {
+	if e.canceled {
+		return nil
+	}
+	k.now = e.at
+	if e.fn != nil {
+		e.fn()
+		return nil
+	}
+	if e.fnArg != nil {
+		e.fnArg(e.arg)
+		return nil
+	}
+	p := e.proc
+	// wakePending is only a scheduling dedupe, not a correctness gate,
+	// because timer events (Sleep, ParkTimeout) are scheduled without
+	// setting it; the epoch is the gate.
+	if p.done || p.epoch != e.epoch {
+		return nil
+	}
+	p.wakePending = false
+	p.epoch++
+	return p
+}
+
+// handoff gives up parking process p's hold on the simulation. While a
+// run is looping, p dispatches the following events itself until one
+// resumes a process: if that is p, it returns true and p continues with
+// the wake's reason without any goroutine switch; otherwise control goes
+// straight to that process. When the loop's condition fails or the
+// queue drains, control goes back to Run's caller. A callback that
+// panics here is forwarded to that caller, which re-raises it as if it
+// had run the callback.
+func (k *Kernel) handoff(p *proc) (self bool, reason WakeReason) {
+	next, reason, pval, panicked := k.loop()
+	switch {
+	case panicked:
+		k.yield <- yieldMsg{kind: yieldCallbackPanic, pval: pval} // vet:ignore chan-send — kernel⇄process rendezvous
+	case next == p:
+		return true, reason
+	case next != nil:
+		next.resume <- reason // vet:ignore chan-send — kernel⇄process rendezvous
+	default:
+		k.yield <- yieldMsg{kind: yieldParked, p: p} // vet:ignore chan-send — kernel⇄process rendezvous
+	}
+	return false, 0
+}
+
+// loop is the run loop as a parked process carries it on: it
+// dispatches events while cont holds and returns the first process to
+// resume, or nil. A panic is caught and returned so that it can cross
+// to the goroutine of Run's caller.
+func (k *Kernel) loop() (next *proc, reason WakeReason, pval any, panicked bool) {
+	defer func() {
+		if panicked {
+			pval = recover()
+		}
+	}()
+	panicked = true
+	for next == nil && k.cont() {
+		e := k.nextEvent()
+		next, reason = k.dispatch(e), e.reason
+		k.releaseEvent(e)
+	}
+	return next, reason, nil, false
 }
 
 // killSentinel is the panic value that unwinds a process being killed by
@@ -535,8 +621,9 @@ func (k *Kernel) kill(p *proc) {
 		p.resume <- WakeSignal // vet:ignore chan-send — kernel⇄process rendezvous
 		msg := <-k.yield
 		switch msg.kind {
-		case yieldParked:
-			// A deferred cleanup parked again; keep prodding.
+		case yieldParked, yieldCallbackPanic:
+			// A deferred cleanup parked again; keep prodding. (No run is
+			// looping, so no process dispatches callbacks here.)
 		case yieldDone, yieldPanic:
 			// Panics during teardown are swallowed: the simulation's
 			// outcome was decided before Shutdown was called.
@@ -592,7 +679,9 @@ func (pp *Proc) park() WakeReason {
 	if p.killed {
 		panic(killSentinel{})
 	}
-	p.k.yield <- yieldMsg{kind: yieldParked, p: p} // vet:ignore chan-send — kernel⇄process rendezvous
+	if self, r := p.k.handoff(p); self {
+		return r
+	}
 	r := <-p.resume
 	if p.killed {
 		panic(killSentinel{})
