@@ -94,10 +94,12 @@ mc-smoke:
 	go run ./cmd/mermaid-mc -workload=rc -mutation=lost-diff -max-schedules=100
 	go run ./cmd/mermaid-mc -workload=rc -mutation=stale-twin-merge -max-schedules=100
 
-# Chaos smoke: one seed per workload × fault class (24 campaigns).
+# Chaos smoke: one seed per workload × fault class (28 campaigns).
 # Every run must survive its fault schedule — a violation prints a
-# replay token and fails the build. Budgeted for CI; chaos-deep widens
-# the seed range and double-runs everything for determinism.
+# replay token and fails the build. Then skip-conversion must be killed
+# under the MRSW, dynamic-directory, quorum and RC engines (exit 2 if it
+# survives). Budgeted for CI; chaos-deep widens the seed range and
+# double-runs everything for determinism.
 chaos-smoke:
 	go run ./cmd/mermaid-chaos -workload=slots -class=drop -seed=1 -runs=1
 	go run ./cmd/mermaid-chaos -workload=slots -class=partition -seed=1 -runs=1
@@ -127,6 +129,10 @@ chaos-smoke:
 	go run ./cmd/mermaid-chaos -workload=rc -class=partition -seed=1 -runs=1
 	go run ./cmd/mermaid-chaos -workload=rc -class=crash -seed=1 -runs=1
 	go run ./cmd/mermaid-chaos -workload=rc -class=mix -seed=1 -runs=1
+	go run ./cmd/mermaid-chaos -workload=slots -class=drop -seed=1 -runs=1 -mutation=skip-conversion
+	go run ./cmd/mermaid-chaos -workload=forward -class=drop -seed=1 -runs=1 -mutation=skip-conversion
+	go run ./cmd/mermaid-chaos -workload=quorum -class=drop -seed=1 -runs=1 -mutation=skip-conversion
+	go run ./cmd/mermaid-chaos -workload=rc -class=drop -seed=1 -runs=1 -mutation=skip-conversion
 
 # Nightly-depth chaos: 25 seeds per workload × class with a
 # determinism double-run (-verify) on every campaign.

@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"repro/internal/chaos"
+	"repro/internal/cluster"
 	"repro/internal/dsm"
 )
 
@@ -35,7 +36,7 @@ func run() int {
 		runs     = flag.Int("runs", 1, "number of consecutive seeds to run")
 		verify   = flag.Bool("verify", false, "run each seed twice and require bit-identical outcomes")
 		replay   = flag.String("replay", "", "replay a chaos1:... token and print its fault plan and outcome")
-		maxSteps = flag.Int("max-steps", 0, "per-run event budget (0 = default; exceeding it is reported as hung)")
+		maxSteps = flag.Int("max-steps", 0, "per-run event budget (0 = default; exceeding it is reported as a livelock)")
 		mutation = flag.String("mutation", "", "inject a named DSM protocol bug and require the campaign to catch it (exit 2 if it survives every run)")
 	)
 	flag.Parse()
@@ -87,7 +88,7 @@ func run() int {
 			fmt.Printf(" — %s", res.Detail)
 		}
 		fmt.Printf("\n%s\n", res.Fingerprint)
-		if res.Outcome != chaos.OK {
+		if res.Outcome != cluster.OK {
 			return 2
 		}
 		return 0
@@ -113,7 +114,7 @@ func run() int {
 				return 1
 			}
 			fmt.Printf("%s %s (verified deterministic)\n", res.Token, res.Outcome)
-			if res.Outcome != chaos.OK {
+			if res.Outcome != cluster.OK {
 				fmt.Printf("  %s\n  replay: %s\n", res.Detail, res.Token)
 				bad++
 			}
@@ -151,7 +152,7 @@ func run() int {
 			fmt.Print(")")
 		}
 		fmt.Println()
-		if res.Outcome != chaos.OK {
+		if res.Outcome != cluster.OK {
 			fmt.Printf("  %s\n  replay: %s\n", res.Detail, res.Token)
 		}
 	}

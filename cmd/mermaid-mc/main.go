@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cluster"
 	"repro/internal/dsm"
 	"repro/internal/mc"
 )
@@ -78,7 +79,7 @@ func run() int {
 			fmt.Printf(" — %s", res.Detail)
 		}
 		fmt.Printf(" (%d steps, %d choice points, t=%v)\n", res.Steps, len(res.Choices), res.Now)
-		if res.Outcome != mc.OK {
+		if res.Outcome != cluster.OK {
 			return 2
 		}
 		return 0

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dsm"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -92,7 +93,7 @@ func TestSmokeSeedsClean(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/%d: %v", w.Name, class, seed, err)
 				}
-				if res.Outcome != OK {
+				if res.Outcome != cluster.OK {
 					t.Errorf("%s: %s: %s", res.Token, res.Outcome, res.Detail)
 				}
 			}
@@ -197,78 +198,62 @@ func TestReplayReproducesRun(t *testing.T) {
 	}
 }
 
-// TestChaosCatchesSkipInvalidation proves the oracle pipeline has
-// teeth: a protocol with invalidations removed must not survive a
-// message-fault campaign (the invariant checker flags the stale copy
-// regardless of workload-level tolerance).
-func TestChaosCatchesSkipInvalidation(t *testing.T) {
-	w, err := Lookup("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	caught := false
-	for seed := int64(1); seed <= 3 && !caught; seed++ {
-		res, err := Run(w, ClassDrop, seed, Opts{Mut: dsm.MutSkipInvalidation})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Outcome != OK {
-			caught = true
-		}
-	}
-	if !caught {
-		t.Fatal("skip-invalidation survived 3 drop-class campaigns — the oracles are blind")
-	}
-}
-
-// TestChaosCatchesLostDiff: with release pushes dropped, the home
-// image never advances, and the rc workload's exact final assertion —
-// every completed interval must be visible at home once its writer
-// finished — reports it on any seed whose workers all survive.
-func TestChaosCatchesLostDiff(t *testing.T) {
-	w, err := Lookup("rc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	caught := false
-	for seed := int64(1); seed <= 3 && !caught; seed++ {
-		res, err := Run(w, ClassDrop, seed, Opts{Mut: dsm.MutLostDiff})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Outcome != OK {
-			caught = true
-		}
-	}
-	if !caught {
-		t.Fatal("lost-diff survived 3 drop-class campaigns — the rc workload tolerates too much")
-	}
-}
-
-// TestChaosCatchesForgetRecovery: with the copyset re-own removed, a
-// recoverable page stays unreadable after its owner's crash, and the
-// coordinator's final read — which never tolerates ErrHostDown —
-// reports it.
-func TestChaosCatchesForgetRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-seed campaign; skipped in short mode")
-	}
-	w, err := Lookup("slots")
-	if err != nil {
-		t.Fatal(err)
-	}
-	caught := false
-	for seed := int64(1); seed <= 5 && !caught; seed++ {
-		res, err := Run(w, ClassCrash, seed, Opts{Mut: dsm.MutForgetRecovery})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Outcome != OK {
-			caught = true
-		}
-	}
-	if !caught {
-		t.Fatal("forget-recovery survived 5 crash-class campaigns — the workloads tolerate too much")
+// TestChaosCatchesMutations proves the oracle pipeline has teeth: each
+// injected protocol bug must fail at least one campaign of its class
+// within the seed budget, on a workload whose engine it corrupts.
+//
+//   - skip-invalidation: a protocol with invalidations removed cannot
+//     survive a message-fault campaign — the invariant checker flags the
+//     stale copy regardless of workload-level tolerance.
+//   - lost-diff: with release pushes dropped the home image never
+//     advances, and the rc workload's exact final assertion (every
+//     completed interval visible at home once its writer finished)
+//     reports it on any seed whose workers all survive.
+//   - forget-recovery: with the copyset re-own removed, a recoverable
+//     page stays unreadable after its owner's crash, and the
+//     coordinator's final read — which never tolerates ErrHostDown —
+//     reports it.
+//   - skip-conversion: every engine's receive path converts foreign
+//     bytes; without it a Sun reads a Firefly's stamps byte-swapped,
+//     under MRSW slots, the dynamic directory, quorum replicas and RC
+//     diffs alike.
+func TestChaosCatchesMutations(t *testing.T) {
+	for _, tc := range []struct {
+		mut      dsm.Mutation
+		workload string
+		class    Class
+		seeds    int64
+		long     bool
+	}{
+		{dsm.MutSkipInvalidation, "counter", ClassDrop, 3, false},
+		{dsm.MutLostDiff, "rc", ClassDrop, 3, false},
+		{dsm.MutForgetRecovery, "slots", ClassCrash, 5, true},
+		{dsm.MutSkipConversion, "slots", ClassDrop, 1, false},
+		{dsm.MutSkipConversion, "forward", ClassDrop, 1, false},
+		{dsm.MutSkipConversion, "quorum", ClassDrop, 1, false},
+		{dsm.MutSkipConversion, "rc", ClassDrop, 1, false},
+	} {
+		t.Run(tc.mut.String()+"/"+tc.workload, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("multi-seed campaign; skipped in short mode")
+			}
+			w, err := Lookup(tc.workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= tc.seeds; seed++ {
+				res, err := Run(w, tc.class, seed, Opts{Mut: tc.mut})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Outcome != cluster.OK {
+					t.Logf("caught by %s: %s: %s", res.Token, res.Outcome, res.Detail)
+					return
+				}
+			}
+			t.Fatalf("%s survived %d %s-class campaign(s) on %s — the oracles are blind to it",
+				tc.mut, tc.seeds, tc.class, tc.workload)
+		})
 	}
 }
 
@@ -287,7 +272,7 @@ func TestUpgradeGrantCrashRegression(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tok, err)
 		}
-		if r.Outcome != OK {
+		if r.Outcome != cluster.OK {
 			t.Errorf("%s: %s — %s", tok, r.Outcome, r.Detail)
 		}
 	}
@@ -320,7 +305,7 @@ func TestDynamicForwardCrashRegression(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tok, err)
 		}
-		if r.Outcome != OK {
+		if r.Outcome != cluster.OK {
 			t.Errorf("%s: %s — %s", tok, r.Outcome, r.Detail)
 		}
 	}
@@ -352,7 +337,7 @@ func TestSwitchedStaleRestoreRegression(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tok, err)
 		}
-		if r.Outcome != OK {
+		if r.Outcome != cluster.OK {
 			t.Errorf("%s: %s — %s", tok, r.Outcome, r.Detail)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
@@ -40,7 +41,7 @@ func RunSeries(w *Workload, class Class, baseSeed int64, runs int, o Opts) (*Ser
 			return nil, err
 		}
 		s.Results = append(s.Results, res)
-		if res.Outcome == OK {
+		if res.Outcome == cluster.OK {
 			s.Survived++
 		} else {
 			s.Violations = append(s.Violations, res.Token)

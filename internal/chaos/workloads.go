@@ -23,8 +23,9 @@ package chaos
 //     acceptable: host 0's manager is alive, so a recoverable page
 //     that stays unreadable means recovery itself is broken.
 //
-// The oracles (invariant checker, SC trace, hang detection) judge
-// every run on top of these assertions.
+// The oracles of cluster.Judge (invariant checker, trace check, panic,
+// livelock and deadlock detection) judge every run on top of these
+// assertions.
 
 import (
 	"errors"
@@ -58,8 +59,6 @@ type Workload struct {
 type Instance struct {
 	// C is the assembled cluster (checker attached, recorder wired).
 	C *cluster.Cluster
-	// Rec records the run's DSM accesses for the offline SC check.
-	Rec *sctrace.Recorder
 	// Trace accumulates recovery events from the DSM trace stream.
 	Trace *traceLog
 	// Main is the coordinator body, run on host 0. A non-nil error is
@@ -88,95 +87,34 @@ const (
 	chaosSemSlot = 4 // +w: the rc workload's per-worker interval brackets
 )
 
-// buildChaosCluster assembles the standard chaos cluster: calibrated
-// cost model, central manager on never-crashed host 0, failure
-// detection, invariant checker and SC recorder attached.
-func buildChaosCluster(seed int64, kinds []arch.Kind, plan *netsim.FaultPlan, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, *traceLog, error) {
+// buildChaosCluster assembles a chaos cluster: calibrated cost model,
+// failure detection, the fault plan, the invariant checker, an SC
+// recorder and a recovery-event trace. engine picks the protocol under
+// test through its Policy, Directory and Topology fields; every other
+// field is overwritten. Most workloads pass dsm.DirCentral, which puts
+// every page's manager (and, under RC, its home) on never-crashed host 0.
+func buildChaosCluster(seed int64, kinds []arch.Kind, engine cluster.Config, plan *netsim.FaultPlan, mut dsm.Mutation) (*cluster.Cluster, *traceLog, error) {
 	hosts := make([]cluster.HostSpec, len(kinds))
 	for i, k := range kinds {
 		hosts[i] = cluster.HostSpec{Kind: k}
 	}
-	rec := sctrace.NewRecorder()
 	tl := &traceLog{}
 	c, err := cluster.New(cluster.Config{
 		Hosts:            hosts,
 		PageSize:         chaosPageSize,
 		SpaceSize:        chaosSpaceSize,
 		Seed:             seed,
-		CentralManager:   true,
+		Policy:           engine.Policy,
+		Directory:        engine.Directory,
+		Topology:         engine.Topology,
 		FailureDetection: true,
 		InvariantChecks:  true,
-		SCTrace:          rec,
+		SCTrace:          sctrace.NewRecorder(),
 		FaultPlan:        plan,
 		Trace:            tl.observe,
 		Mutation:         mut,
 	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, rec, tl, nil
-}
-
-// buildSwitchedChaosCluster is buildChaosCluster on a switched
-// multi-segment topology instead of the shared bus, so fault windows
-// land on cross-segment protocol exchanges and broadcasts expand along
-// the multicast tree.
-func buildSwitchedChaosCluster(seed int64, kinds []arch.Kind, topo *netsim.Topology, plan *netsim.FaultPlan, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, *traceLog, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
-	}
-	rec := sctrace.NewRecorder()
-	tl := &traceLog{}
-	c, err := cluster.New(cluster.Config{
-		Hosts:            hosts,
-		PageSize:         chaosPageSize,
-		SpaceSize:        chaosSpaceSize,
-		Seed:             seed,
-		Topology:         topo,
-		CentralManager:   true,
-		FailureDetection: true,
-		InvariantChecks:  true,
-		SCTrace:          rec,
-		FaultPlan:        plan,
-		Trace:            tl.observe,
-		Mutation:         mut,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, rec, tl, nil
-}
-
-// buildDynChaosCluster is buildChaosCluster under the dynamic
-// distributed directory (Li & Hudak probable-owner forwarding) instead
-// of the central manager: ownership requests chase hint chains, so
-// crashes and partitions land mid-forward and exercise the dynamic
-// directory's lazy chain repair.
-func buildDynChaosCluster(seed int64, kinds []arch.Kind, plan *netsim.FaultPlan, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, *traceLog, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
-	}
-	rec := sctrace.NewRecorder()
-	tl := &traceLog{}
-	c, err := cluster.New(cluster.Config{
-		Hosts:            hosts,
-		PageSize:         chaosPageSize,
-		SpaceSize:        chaosSpaceSize,
-		Seed:             seed,
-		Directory:        dsm.DirDynamic,
-		FailureDetection: true,
-		InvariantChecks:  true,
-		SCTrace:          rec,
-		FaultPlan:        plan,
-		Trace:            tl.observe,
-		Mutation:         mut,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, rec, tl, nil
+	return c, tl, err
 }
 
 // anyDead reports whether host 0's detector has declared any peer dead.
@@ -238,39 +176,6 @@ func init() {
 	register(rcWorkload())
 }
 
-// buildRCChaosCluster is buildChaosCluster under the lazy-release
-// policy. The central manager puts every page's home on never-crashed
-// host 0, so the diff log — the only authoritative copy of released
-// intervals — survives every fault the plans inject: RC has no copyset
-// recovery to run, and a crashed host only takes its own unreleased
-// intervals to the grave, which release consistency says never existed.
-func buildRCChaosCluster(seed int64, kinds []arch.Kind, plan *netsim.FaultPlan, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, *traceLog, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
-	}
-	rec := sctrace.NewRecorder()
-	tl := &traceLog{}
-	c, err := cluster.New(cluster.Config{
-		Hosts:            hosts,
-		PageSize:         chaosPageSize,
-		SpaceSize:        chaosSpaceSize,
-		Seed:             seed,
-		Policy:           dsm.PolicyRC,
-		CentralManager:   true,
-		FailureDetection: true,
-		InvariantChecks:  true,
-		SCTrace:          rec,
-		FaultPlan:        plan,
-		Trace:            tl.observe,
-		Mutation:         mut,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, rec, tl, nil
-}
-
 // rcWorkload runs the slots pattern under lazy release consistency:
 // each worker stamps its private page with a mirrored pair inside its
 // own acquire/release bracket, so every round pushes one interval's
@@ -291,7 +196,10 @@ func rcWorkload() *Workload {
 		Desc:  "3 hosts, lazy release consistency: per-worker interval stamps + unsynchronized polling coordinator",
 		Hosts: 3,
 		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			c, rec, tl, err := buildRCChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, plan, mut)
+			// Homes on host 0: the diff log, the only authoritative copy of
+			// released intervals, survives every fault the plans inject.
+			c, tl, err := buildChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly},
+				cluster.Config{Policy: dsm.PolicyRC, Directory: dsm.DirCentral}, plan, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -393,40 +301,9 @@ func rcWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
+			return &Instance{C: c, Trace: tl, Main: main}, nil
 		},
 	}
-}
-
-// buildQuorumChaosCluster is buildChaosCluster under the SC-ABD quorum
-// policy: every page is replicated at every host and every operation
-// completes at a majority, so this is the one cluster whose workload
-// can demand *progress during* a partition, not just after it heals.
-func buildQuorumChaosCluster(seed int64, kinds []arch.Kind, plan *netsim.FaultPlan, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, *traceLog, error) {
-	hosts := make([]cluster.HostSpec, len(kinds))
-	for i, k := range kinds {
-		hosts[i] = cluster.HostSpec{Kind: k}
-	}
-	rec := sctrace.NewRecorder()
-	tl := &traceLog{}
-	c, err := cluster.New(cluster.Config{
-		Hosts:            hosts,
-		PageSize:         chaosPageSize,
-		SpaceSize:        chaosSpaceSize,
-		Seed:             seed,
-		Policy:           dsm.PolicyQuorum,
-		CentralManager:   true,
-		FailureDetection: true,
-		InvariantChecks:  true,
-		SCTrace:          rec,
-		FaultPlan:        plan,
-		Trace:            tl.observe,
-		Mutation:         mut,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c, rec, tl, nil
 }
 
 // quorumWorkload runs the slots pattern under SC-ABD majority quorum on
@@ -463,7 +340,7 @@ func quorumWorkload() *Workload {
 				plan.Partitions[i].Group = plan.Partitions[0].Group
 			}
 			kinds := []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly, arch.Sun}
-			c, rec, tl, err := buildQuorumChaosCluster(seed, kinds, plan, mut)
+			c, tl, err := buildChaosCluster(seed, kinds, cluster.Config{Policy: dsm.PolicyQuorum, Directory: dsm.DirCentral}, plan, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -591,7 +468,7 @@ func quorumWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
+			return &Instance{C: c, Trace: tl, Main: main}, nil
 		},
 	}
 }
@@ -632,7 +509,7 @@ func switchedWorkload() *Workload {
 				})
 			}
 			kinds := []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly, arch.Firefly, arch.Firefly, arch.Firefly}
-			c, rec, tl, err := buildSwitchedChaosCluster(seed, kinds, topo, plan, mut)
+			c, tl, err := buildChaosCluster(seed, kinds, cluster.Config{Directory: dsm.DirCentral, Topology: topo}, plan, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -714,7 +591,7 @@ func switchedWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
+			return &Instance{C: c, Trace: tl, Main: main}, nil
 		},
 	}
 }
@@ -734,7 +611,7 @@ func slotsWorkload() *Workload {
 		Desc:  "3 hosts, per-host monotone writers + polling coordinator (recovery rollback bounds)",
 		Hosts: 3,
 		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			c, rec, tl, err := buildChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, plan, mut)
+			c, tl, err := buildChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, cluster.Config{Directory: dsm.DirCentral}, plan, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -821,7 +698,7 @@ func slotsWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
+			return &Instance{C: c, Trace: tl, Main: main}, nil
 		},
 	}
 }
@@ -844,7 +721,8 @@ func forwardWorkload() *Workload {
 		Desc:  "4 hosts, dynamic directory: writers migrate one page through probable-owner chains (crash mid-forward)",
 		Hosts: 4,
 		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			c, rec, tl, err := buildDynChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly}, plan, mut)
+			c, tl, err := buildChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun, arch.Firefly},
+				cluster.Config{Directory: dsm.DirDynamic}, plan, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -924,7 +802,7 @@ func forwardWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
+			return &Instance{C: c, Trace: tl, Main: main}, nil
 		},
 	}
 }
@@ -944,7 +822,7 @@ func counterWorkload() *Workload {
 		Desc:  "3 hosts, semaphore-locked shared counter (exact under message faults, bounded under crashes)",
 		Hosts: 3,
 		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			c, rec, tl, err := buildChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, plan, mut)
+			c, tl, err := buildChaosCluster(seed, []arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, cluster.Config{Directory: dsm.DirCentral}, plan, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -1016,7 +894,7 @@ func counterWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
+			return &Instance{C: c, Trace: tl, Main: main}, nil
 		},
 	}
 }
@@ -1034,7 +912,7 @@ func handoffWorkload() *Workload {
 		Desc:  "3 hosts, strict ownership ping-pong across architectures (crash mid-handoff)",
 		Hosts: 3,
 		Build: func(seed int64, plan *netsim.FaultPlan, mut dsm.Mutation) (*Instance, error) {
-			c, rec, tl, err := buildChaosCluster(seed, []arch.Kind{arch.Sun, arch.Sun, arch.Firefly}, plan, mut)
+			c, tl, err := buildChaosCluster(seed, []arch.Kind{arch.Sun, arch.Sun, arch.Firefly}, cluster.Config{Directory: dsm.DirCentral}, plan, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -1100,7 +978,7 @@ func handoffWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Trace: tl, Main: main}, nil
+			return &Instance{C: c, Trace: tl, Main: main}, nil
 		},
 	}
 }

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"hash"
 
 	"repro/internal/arch"
 	"repro/internal/conv"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/dsync"
 	"repro/internal/model"
 	"repro/internal/netsim"
-	"repro/internal/proto"
 	"repro/internal/remoteop"
 	"repro/internal/sctrace"
 	"repro/internal/sim"
@@ -57,13 +57,9 @@ type Config struct {
 	// PreferSameKindSource enables the conversion-avoiding read-source
 	// optimization (§2.3).
 	PreferSameKindSource bool
-	// CentralManager places every page's manager on host 0 (ablation of
-	// the fixed distributed manager).
-	CentralManager bool
 	// Directory selects the manager-placement scheme (fixed distributed,
-	// centralized, or Li & Hudak's dynamic distributed manager). The
-	// zero value is the fixed scheme; CentralManager remains the compat
-	// shorthand for dsm.DirCentral.
+	// centralized on host 0, or Li & Hudak's dynamic distributed
+	// manager). The zero value is the fixed scheme.
 	Directory dsm.Directory
 	// Policy selects the coherence algorithm (default: MRSW).
 	Policy dsm.Policy
@@ -97,7 +93,8 @@ type Config struct {
 	// a violation panics. The checker is returned via Cluster.Check.
 	InvariantChecks bool
 	// SCTrace, when set, records every DSM access from every host for
-	// offline sequential-consistency checking (internal/sctrace).
+	// the offline trace check (internal/sctrace). It is returned via
+	// Cluster.Rec.
 	SCTrace *sctrace.Recorder
 	// Mutation injects one deliberate DSM protocol bug cluster-wide —
 	// the model checker's mutation-kill harness (see dsm/mutation.go).
@@ -139,6 +136,9 @@ type Cluster struct {
 	// Check is the attached protocol invariant checker (nil unless
 	// Config.InvariantChecks was set).
 	Check *dsm.InvariantChecker
+	// Rec is the access recorder the trace oracle reads (Config.SCTrace;
+	// nil when unset).
+	Rec *sctrace.Recorder
 }
 
 // New builds a cluster. Call RegisterFunc (via Funcs) and define
@@ -179,7 +179,6 @@ func New(cfg Config) (*Cluster, error) {
 		Params:               &params,
 		ConversionEnabled:    !cfg.DisableConversion,
 		PreferSameKindSource: cfg.PreferSameKindSource,
-		CentralManager:       cfg.CentralManager,
 		Directory:            cfg.Directory,
 		Policy:               cfg.Policy,
 		UnicastInvalidate:    cfg.UnicastInvalidate,
@@ -198,7 +197,7 @@ func New(cfg Config) (*Cluster, error) {
 		archs[i] = a
 	}
 
-	c := &Cluster{K: k, Net: net, Funcs: funcs, Params: &params, Registry: registry}
+	c := &Cluster{K: k, Net: net, Funcs: funcs, Params: &params, Registry: registry, Rec: cfg.SCTrace}
 	for i, spec := range cfg.Hosts {
 		ifc, err := net.Attach(netsim.HostID(i))
 		if err != nil {
@@ -329,45 +328,17 @@ func (c *Cluster) Run(mainHost HostID, main func(p *sim.Proc, h *Host)) sim.Dura
 func (c *Cluster) TotalDSMStats() dsm.Stats {
 	var total dsm.Stats
 	for _, h := range c.Hosts {
-		s := h.DSM.Stats()
-		total.ReadFaults += s.ReadFaults
-		total.WriteFaults += s.WriteFaults
-		total.PagesFetched += s.PagesFetched
-		total.PagesServed += s.PagesServed
-		total.Upgrades += s.Upgrades
-		total.InvalidationsSent += s.InvalidationsSent
-		total.InvalidationsReceived += s.InvalidationsReceived
-		total.Conversions += s.Conversions
-		total.ConvReport.Add(s.ConvReport)
-		total.BytesFetched += s.BytesFetched
-		total.RemoteReads += s.RemoteReads
-		total.RemoteWrites += s.RemoteWrites
-		total.PagesRecovered += s.PagesRecovered
-		total.PagesLost += s.PagesLost
-		total.QuorumReads += s.QuorumReads
-		total.QuorumWrites += s.QuorumWrites
-		total.QuorumWriteBacks += s.QuorumWriteBacks
-		total.QuorumRetries += s.QuorumRetries
-		total.RCTwins += s.RCTwins
-		total.RCDiffsSent += s.RCDiffsSent
-		total.RCDiffBytes += s.RCDiffBytes
-		total.RCDiffsApplied += s.RCDiffsApplied
-		total.RCPulls += s.RCPulls
-		total.RCDiffsRetired += s.RCDiffsRetired
-		total.Forwards += s.Forwards
-		total.ChainServes += s.ChainServes
-		total.ChainHops += s.ChainHops
-		if s.ChainMax > total.ChainMax {
-			total.ChainMax = s.ChainMax
-		}
-		if s.Messages != nil {
-			if total.Messages == nil {
-				total.Messages = make(map[proto.Kind]int, len(s.Messages))
-			}
-			for k, n := range s.Messages {
-				total.Messages[k] += n
-			}
-		}
+		total.Add(h.DSM.Stats())
 	}
 	return total
+}
+
+// WriteStateHash feeds every host's protocol state — DSM tables and
+// page contents, then synchronization state, in host order — into h:
+// the digest the model checker prunes on and chaos fingerprints.
+func (c *Cluster) WriteStateHash(h hash.Hash) {
+	for _, host := range c.Hosts {
+		host.DSM.WriteStateHash(h)
+		host.Sync.WriteStateHash(h)
+	}
 }

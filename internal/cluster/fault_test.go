@@ -32,7 +32,7 @@ func TestOwnerCrashRecoversFromHeterogeneousCopyset(t *testing.T) {
 			{Kind: arch.Firefly},
 		},
 		Seed:             11,
-		CentralManager:   true, // all pages managed by the Sun
+		Directory:        dsm.DirCentral, // all pages managed by the Sun
 		FailureDetection: true,
 		InvariantChecks:  true,
 		SCTrace:          rec,
@@ -111,7 +111,7 @@ func TestSoleOwnerCrashLosesPage(t *testing.T) {
 	c, err := New(Config{
 		Hosts:            []HostSpec{{Kind: arch.Sun}, {Kind: arch.Firefly}},
 		Seed:             12,
-		CentralManager:   true,
+		Directory:        dsm.DirCentral,
 		FailureDetection: true,
 		InvariantChecks:  true,
 	})
@@ -221,7 +221,7 @@ func TestScriptedCrashPlanIsDeterministic(t *testing.T) {
 				{Kind: arch.Firefly},
 			},
 			Seed:             21,
-			CentralManager:   true,
+			Directory:        dsm.DirCentral,
 			FailureDetection: true,
 			InvariantChecks:  true,
 			FaultPlan: &netsim.FaultPlan{

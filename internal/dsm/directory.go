@@ -58,15 +58,6 @@ func ParseDirectory(s string) (Directory, error) {
 	return 0, fmt.Errorf("dsm: unknown directory scheme %q", s)
 }
 
-// effectiveDirectory resolves the legacy CentralManager flag: it
-// predates the Directory field and keeps meaning "managers on host 0".
-func (c *Config) effectiveDirectory() Directory {
-	if c.Directory == DirFixed && c.CentralManager {
-		return DirCentral
-	}
-	return c.Directory
-}
-
 // directory is the manager-placement scheme: it locates a page's
 // manager and runs the host-side page-fault transaction that obtains a
 // copy or ownership through it.
@@ -86,7 +77,7 @@ type directory interface {
 
 // newDirectory builds the configured manager-placement scheme.
 func newDirectory(m *Module) directory {
-	switch m.cfg.effectiveDirectory() {
+	switch m.cfg.Directory {
 	case DirCentral:
 		return &fixedDirectory{m: m, central: true}
 	case DirDynamic:

@@ -151,16 +151,12 @@ type Config struct {
 	// copyset member of the requester's machine type when one exists,
 	// avoiding a conversion (§2.3's optimization).
 	PreferSameKindSource bool
-	// CentralManager places every page's manager on host 0 (Li's
-	// centralized-manager variant) instead of distributing managers
-	// round-robin; an ablation of the paper's fixed distributed
-	// manager choice (§3.1). Retained for compatibility — it is
-	// shorthand for Directory: DirCentral.
-	CentralManager bool
 	// Directory selects the manager-placement scheme (directory.go):
-	// fixed distributed managers (default), centralized, or Li &
-	// Hudak's dynamic distributed manager with probable-owner
-	// forwarding. DirDynamic is only defined for PolicyMRSW.
+	// fixed distributed managers (default), centralized on host 0 (Li's
+	// centralized-manager variant, an ablation of the paper's fixed
+	// distributed managers, §3.1), or Li & Hudak's dynamic distributed
+	// manager with probable-owner forwarding. DirDynamic is only defined
+	// for PolicyMRSW.
 	Directory Directory
 	// Policy selects the coherence algorithm (default PolicyMRSW).
 	Policy Policy
@@ -194,8 +190,31 @@ type TraceEvent struct {
 	Time sim.Time
 	// Host is where the event happened.
 	Host HostID
-	// Event names the action: read-fault, write-fault, fetch, serve,
-	// invalidate, upgrade.
+	// Event names the action. Every engine:
+	//   - read-fault, write-fault: a fault handler ran (first missing page);
+	//   - fetch: a page body was installed from a peer;
+	//   - serve: a page body was sent to a requester;
+	//   - invalidate: a local copy was discarded on request;
+	//   - upgrade: a write fault was granted without a transfer.
+	// Crash recovery (FailureDetection):
+	//   - recover: a manager re-owned a page after its owner died;
+	//   - page-lost: no surviving copy, the page is declared lost;
+	//   - reconciled: a suspect handoff turned out to have landed, or a
+	//     stale dynamic chain was pointed at the live owner.
+	// Dynamic directory: dyn-forward, a request relayed one hop down the
+	// probable-owner chain.
+	// Write-update: apply-update, a pushed update applied to a replica.
+	// Quorum:
+	//   - quorum-read, quorum-write: a majority operation completed;
+	//   - quorum-retry: a fan-out round re-run (majority unreachable);
+	//   - quorum-install: a newer replica version installed.
+	// Release consistency:
+	//   - rc-twin: a twin was taken on an interval's first write;
+	//   - rc-diff: an interval diff was logged at the home;
+	//   - rc-pull: an acquirer applied the home's pulled diffs;
+	//   - rc-refetch: an acquirer refetched the whole home image;
+	//   - rc-serve-diffs: a home answered a pull;
+	//   - rc-home-touch: the home faulted in its own page.
 	Event string
 	// Page is the DSM page concerned.
 	Page PageNo
@@ -222,9 +241,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Params == nil {
 		return fmt.Errorf("dsm: no cost model")
-	}
-	if c.Directory == DirDynamic && c.CentralManager {
-		return fmt.Errorf("dsm: CentralManager conflicts with the dynamic directory")
 	}
 	if err := c.validatePolicy(); err != nil {
 		return err
@@ -341,6 +357,49 @@ type Stats struct {
 	// §3.1's raw material for comparing manager schemes. Snapshot
 	// filled by Stats(); nil on the zero value.
 	Messages map[proto.Kind]int
+}
+
+// Add folds another host's counters into s: every count is summed,
+// ChainMax keeps the longer chain, and Messages is merged by kind. A
+// new field is summed here, next to its declaration.
+func (s *Stats) Add(o Stats) {
+	s.ReadFaults += o.ReadFaults
+	s.WriteFaults += o.WriteFaults
+	s.PagesFetched += o.PagesFetched
+	s.PagesServed += o.PagesServed
+	s.Upgrades += o.Upgrades
+	s.InvalidationsSent += o.InvalidationsSent
+	s.InvalidationsReceived += o.InvalidationsReceived
+	s.Conversions += o.Conversions
+	s.ConvReport.Add(o.ConvReport)
+	s.BytesFetched += o.BytesFetched
+	s.RemoteReads += o.RemoteReads
+	s.RemoteWrites += o.RemoteWrites
+	s.UpdateWrites += o.UpdateWrites
+	s.UpdatePushes += o.UpdatePushes
+	s.UpdatesApplied += o.UpdatesApplied
+	s.PagesRecovered += o.PagesRecovered
+	s.PagesLost += o.PagesLost
+	s.QuorumReads += o.QuorumReads
+	s.QuorumWrites += o.QuorumWrites
+	s.QuorumWriteBacks += o.QuorumWriteBacks
+	s.QuorumRetries += o.QuorumRetries
+	s.Forwards += o.Forwards
+	s.ChainServes += o.ChainServes
+	s.ChainHops += o.ChainHops
+	s.ChainMax = max(s.ChainMax, o.ChainMax)
+	s.RCTwins += o.RCTwins
+	s.RCDiffsSent += o.RCDiffsSent
+	s.RCDiffBytes += o.RCDiffBytes
+	s.RCDiffsApplied += o.RCDiffsApplied
+	s.RCPulls += o.RCPulls
+	s.RCDiffsRetired += o.RCDiffsRetired
+	if o.Messages != nil && s.Messages == nil {
+		s.Messages = make(map[proto.Kind]int, len(o.Messages))
+	}
+	for k, n := range o.Messages {
+		s.Messages[k] += n
+	}
 }
 
 // Module is one host's DSM engine.

@@ -35,23 +35,21 @@ type FigPoint struct {
 	Transfers int
 }
 
-// runMM executes one matrix multiplication on a fresh cluster.
+// runMM executes one matrix multiplication on a fresh cluster under the
+// given replication policy, with per-request processing jitter matching
+// the compute jitter, results stored chunk elements at a time (0 = whole
+// rows), and the acquire/release brackets on for the non-SC policy. It
+// returns the figure point and the run's full DSM counters.
 func runMM(hosts []cluster.HostSpec, master cluster.HostID, slaves []cluster.HostID,
-	assign matmul.Assignment, pageSize int, seed int64, jitter float64) FigPoint {
-	return runMMChunked(hosts, master, slaves, assign, pageSize, seed, jitter, 0)
-}
-
-// runMMChunked additionally controls the result-store granularity and
-// applies per-request processing jitter matching the compute jitter.
-func runMMChunked(hosts []cluster.HostSpec, master cluster.HostID, slaves []cluster.HostID,
-	assign matmul.Assignment, pageSize int, seed int64, jitter float64, chunk int) FigPoint {
+	assign matmul.Assignment, pageSize int, seed int64, jitter float64, chunk int,
+	policy dsm.Policy) (FigPoint, dsm.Stats) {
 	var params *model.Params
 	if jitter > 0 {
 		pv := model.Default()
 		pv.ProcessJitterPct = jitter
 		params = &pv
 	}
-	c, err := cluster.New(cluster.Config{Hosts: hosts, PageSize: pageSize, Seed: seed, Params: params})
+	c, err := cluster.New(cluster.Config{Hosts: hosts, PageSize: pageSize, Seed: seed, Params: params, Policy: policy})
 	if err != nil {
 		panic(err)
 	}
@@ -59,6 +57,7 @@ func runMMChunked(hosts []cluster.HostSpec, master cluster.HostID, slaves []clus
 	res, err := r.Run(matmul.Config{
 		N: MMSize, Master: master, Slaves: slaves,
 		Assignment: assign, JitterPct: jitter, WriteChunk: chunk,
+		AcquireRelease: policy == dsm.PolicyRC,
 	})
 	if err != nil {
 		panic(err)
@@ -67,7 +66,7 @@ func runMMChunked(hosts []cluster.HostSpec, master cluster.HostID, slaves []clus
 		Threads:   len(slaves),
 		Seconds:   res.Elapsed.Seconds(),
 		Transfers: res.Stats.PagesFetched,
-	}
+	}, res.Stats
 }
 
 // Figure3Result holds the two series of Figure 3.
@@ -95,7 +94,8 @@ func Figure3(maxThreads int) Figure3Result {
 		for i := range slaves {
 			slaves[i] = 1
 		}
-		out.Physical = append(out.Physical, runMM(hosts, 0, slaves, matmul.MM1, 8192, 1, 0))
+		phys, _ := runMM(hosts, 0, slaves, matmul.MM1, 8192, 1, 0, 0, dsm.PolicyMRSW)
+		out.Physical = append(out.Physical, phys)
 
 		// Distributed: master on host 0, one thread on each of t Fireflies.
 		hosts = []cluster.HostSpec{{Kind: arch.Firefly, CPUs: 1}}
@@ -104,7 +104,8 @@ func Figure3(maxThreads int) Figure3Result {
 			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: 1})
 			slaves = append(slaves, cluster.HostID(i))
 		}
-		out.Distributed = append(out.Distributed, runMM(hosts, 0, slaves, matmul.MM1, 8192, 1, 0))
+		dist, _ := runMM(hosts, 0, slaves, matmul.MM1, 8192, 1, 0, 0, dsm.PolicyMRSW)
+		out.Distributed = append(out.Distributed, dist)
 	}
 	return out
 }
@@ -136,7 +137,8 @@ func Figure4(maxThreads int) []FigPoint {
 		for i := 0; i < nf; i++ {
 			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: fireflyCPUs})
 		}
-		out = append(out, runMM(hosts, 0, placeThreads(t, nf), matmul.MM1, 8192, 1, 0))
+		pt, _ := runMM(hosts, 0, placeThreads(t, nf), matmul.MM1, 8192, 1, 0, 0, dsm.PolicyMRSW)
+		out = append(out, pt)
 	}
 	return out
 }
@@ -228,8 +230,10 @@ func Figure6(maxThreads int) Figure6Result {
 			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: fireflyCPUs})
 		}
 		slaves := placeThreads(t, nf)
-		out.Large = append(out.Large, runMM(hosts, 0, slaves, matmul.MM1, 8192, 1, 0))
-		out.Small = append(out.Small, runMM(hosts, 0, slaves, matmul.MM1, 1024, 1, 0))
+		large, _ := runMM(hosts, 0, slaves, matmul.MM1, 8192, 1, 0, 0, dsm.PolicyMRSW)
+		small, _ := runMM(hosts, 0, slaves, matmul.MM1, 1024, 1, 0, 0, dsm.PolicyMRSW)
+		out.Large = append(out.Large, large)
+		out.Small = append(out.Small, small)
 	}
 	return out
 }
@@ -268,8 +272,10 @@ func Figure7(maxThreads int) Figure7Result {
 			hosts = append(hosts, cluster.HostSpec{Kind: arch.Firefly, CPUs: fireflyCPUs})
 		}
 		slaves := placeThreads(t, nf)
-		out.MM1 = append(out.MM1, runMM(hosts, 0, slaves, matmul.MM1, 1024, 1, 0))
-		out.MM2 = append(out.MM2, runMM(hosts, 0, slaves, matmul.MM2, 1024, 1, 0))
+		mm1, _ := runMM(hosts, 0, slaves, matmul.MM1, 1024, 1, 0, 0, dsm.PolicyMRSW)
+		mm2, _ := runMM(hosts, 0, slaves, matmul.MM2, 1024, 1, 0, 0, dsm.PolicyMRSW)
+		out.MM1 = append(out.MM1, mm1)
+		out.MM2 = append(out.MM2, mm2)
 	}
 	return out
 }
@@ -326,7 +332,7 @@ func Thrashing(threadCounts []int, seeds []int64) []ThrashingResult {
 		// the ingredient of full-severity thrashing.
 		const chunk = 4
 		for _, seed := range seeds {
-			pt := runMMChunked(hosts, 0, slaves, matmul.MM2, 8192, seed, 0.03, chunk)
+			pt, _ := runMM(hosts, 0, slaves, matmul.MM2, 8192, seed, 0.03, chunk, dsm.PolicyMRSW)
 			res.MeanS += pt.Seconds
 			res.MeanTransfers += float64(pt.Transfers)
 			res.MinS = min(res.MinS, pt.Seconds)
@@ -334,7 +340,7 @@ func Thrashing(threadCounts []int, seeds []int64) []ThrashingResult {
 		}
 		res.MeanS /= float64(len(seeds))
 		res.MeanTransfers /= float64(len(seeds))
-		mm1 := runMM(hosts, 0, slaves, matmul.MM1, 8192, seeds[0], 0.03)
+		mm1, _ := runMM(hosts, 0, slaves, matmul.MM1, 8192, seeds[0], 0.03, 0, dsm.PolicyMRSW)
 		res.MM1Transfers = mm1.Transfers
 		// One-thread sequential-equivalent baseline on a Firefly.
 		c, err := cluster.New(cluster.Config{Hosts: hosts, Seed: 1})
@@ -367,38 +373,6 @@ type ThrashingRCPoint struct {
 	RCDiffBytes int
 }
 
-// runMMPolicy is runMMChunked under an explicit replication policy,
-// with the acquire/release brackets on for the non-SC policy, and
-// returns the full DSM counters alongside the figure point.
-func runMMPolicy(hosts []cluster.HostSpec, master cluster.HostID, slaves []cluster.HostID,
-	assign matmul.Assignment, pageSize int, seed int64, jitter float64, chunk int,
-	policy dsm.Policy) (FigPoint, dsm.Stats) {
-	var params *model.Params
-	if jitter > 0 {
-		pv := model.Default()
-		pv.ProcessJitterPct = jitter
-		params = &pv
-	}
-	c, err := cluster.New(cluster.Config{Hosts: hosts, PageSize: pageSize, Seed: seed, Params: params, Policy: policy})
-	if err != nil {
-		panic(err)
-	}
-	r := matmul.Register(c)
-	res, err := r.Run(matmul.Config{
-		N: MMSize, Master: master, Slaves: slaves,
-		Assignment: assign, JitterPct: jitter, WriteChunk: chunk,
-		AcquireRelease: policy == dsm.PolicyRC,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return FigPoint{
-		Threads:   len(slaves),
-		Seconds:   res.Elapsed.Seconds(),
-		Transfers: res.Stats.PagesFetched,
-	}, res.Stats
-}
-
 // ThrashingRC reruns the thrashing configuration under lazy release
 // consistency: the same MM2 round-robin assignment, 8 KB pages and
 // element-burst stores that make the write-invalidate engine ping-pong
@@ -416,8 +390,8 @@ func ThrashingRC(threadCounts []int, seed int64) []ThrashingRCPoint {
 		}
 		slaves := placeThreads(t, nf)
 		const chunk = 4
-		inv, invStats := runMMPolicy(hosts, 0, slaves, matmul.MM2, 8192, seed, 0.03, chunk, dsm.PolicyMRSW)
-		rc, rcStats := runMMPolicy(hosts, 0, slaves, matmul.MM2, 8192, seed, 0.03, chunk, dsm.PolicyRC)
+		inv, invStats := runMM(hosts, 0, slaves, matmul.MM2, 8192, seed, 0.03, chunk, dsm.PolicyMRSW)
+		rc, rcStats := runMM(hosts, 0, slaves, matmul.MM2, 8192, seed, 0.03, chunk, dsm.PolicyRC)
 		out = append(out, ThrashingRCPoint{
 			Threads:      t,
 			InvS:         inv.Seconds,
@@ -606,8 +580,9 @@ func PageSizeSweep(threads int) []PageSizePoint {
 	var out []PageSizePoint
 	for _, ps := range []int{1024, 2048, 4096, 8192} {
 		p := PageSizePoint{PageSize: ps}
-		p.MM1S = runMMChunked(hosts, 0, slaves, matmul.MM1, ps, 1, 0.03, 4).Seconds
-		p.MM2S = runMMChunked(hosts, 0, slaves, matmul.MM2, ps, 1, 0.03, 4).Seconds
+		mm1, _ := runMM(hosts, 0, slaves, matmul.MM1, ps, 1, 0.03, 4, dsm.PolicyMRSW)
+		mm2, _ := runMM(hosts, 0, slaves, matmul.MM2, ps, 1, 0.03, 4, dsm.PolicyMRSW)
+		p.MM1S, p.MM2S = mm1.Seconds, mm2.Seconds
 		out = append(out, p)
 	}
 	return out

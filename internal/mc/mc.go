@@ -11,12 +11,13 @@
 // sequences (the CHESS/dBug "stateless" approach) and replays any
 // violation bit-identically from its recorded schedule.
 //
-// Every run is judged by the PR 1 oracles: the MRSW protocol invariant
-// checker (dsm.InvariantChecker) in record mode, the offline sequential
-// consistency checker (internal/sctrace) over the run's access trace,
-// plus protocol panics, deadlock (event queue drained before the
-// workload finished) and livelock (step budget exhausted — e.g. endless
-// retransmission) detection and the workload's own final assertions.
+// Every run is judged by cluster.Judge, the judged run chaos shares: the
+// protocol invariant checker (dsm.InvariantChecker) in record mode plus
+// a teardown audit, the policy's offline trace check (internal/sctrace)
+// over the run's accesses, protocol panics, deadlock (event queue
+// drained before the workload finished) and livelock (step budget
+// exhausted — e.g. endless retransmission) detection, and the
+// workload's own final assertions.
 package mc
 
 import (
@@ -28,7 +29,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dsm"
-	"repro/internal/sctrace"
 	"repro/internal/sim"
 )
 
@@ -38,8 +38,6 @@ import (
 type Instance struct {
 	// C is the assembled cluster (checker attached, recorder wired).
 	C *cluster.Cluster
-	// Rec records the run's DSM accesses for the offline SC check.
-	Rec *sctrace.Recorder
 	// Main is the workload body, run as the root simulated process. It
 	// returns the workload's own verdict on the final state (nil = all
 	// application-level assertions passed).
@@ -57,59 +55,10 @@ type Workload struct {
 	Build func(mut dsm.Mutation) (*Instance, error)
 }
 
-// Outcome classifies one run.
-type Outcome int
-
-const (
-	// OK means every oracle passed.
-	OK Outcome = iota
-	// InvariantViolation means the MRSW protocol invariant checker
-	// tripped (stale copy, double writer, owner disagreement, …).
-	InvariantViolation
-	// SCViolation means the offline trace check found a read no
-	// sequentially consistent witness order can explain.
-	SCViolation
-	// Panic means a simulated process panicked (protocol timeout,
-	// unexpected state).
-	Panic
-	// Deadlock means the event queue drained before the workload
-	// finished.
-	Deadlock
-	// Livelock means the step budget ran out (endless retransmission
-	// keeps the queue busy forever).
-	Livelock
-	// AppError means the workload's own final assertions failed
-	// (wrong computation result).
-	AppError
-)
-
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case OK:
-		return "ok"
-	case InvariantViolation:
-		return "invariant-violation"
-	case SCViolation:
-		return "sc-violation"
-	case Panic:
-		return "panic"
-	case Deadlock:
-		return "deadlock"
-	case Livelock:
-		return "livelock"
-	case AppError:
-		return "app-error"
-	default:
-		return fmt.Sprintf("Outcome(%d)", int(o))
-	}
-}
-
 // Result is the record of one executed run.
 type Result struct {
-	// Outcome classifies the run; Detail explains a non-OK outcome.
-	Outcome Outcome
-	Detail  string
+	// Verdict is the judged run's outcome, detail and step count.
+	cluster.Verdict
 	// Choices is the schedule: the index picked at each choice point.
 	// Replaying the same workload+mutation with these choices forced
 	// reproduces the run exactly.
@@ -119,8 +68,6 @@ type Result struct {
 	// Hashes is the cluster state fingerprint at each choice point
 	// (only collected when the strategy prunes).
 	Hashes []uint64
-	// Steps is the number of kernel events dispatched.
-	Steps int
 	// Now is the virtual time when the run ended.
 	Now sim.Time
 	// Transcript lists the alternatives and pick at each choice point
@@ -157,82 +104,29 @@ func execute(w *Workload, mut dsm.Mutation, o execOpts) (*Result, error) {
 		return nil, fmt.Errorf("mc: building %s: %w", w.Name, err)
 	}
 	c := inst.C
-	k := c.K
-	if c.Check == nil {
-		return nil, fmt.Errorf("mc: workload %s built without the invariant checker", w.Name)
-	}
-	var invs []dsm.Violation
-	c.Check.SetFailHandler(func(v dsm.Violation) { invs = append(invs, v) })
-
+	// Reclaim the instance's goroutines: an exploration executes
+	// thousands of runs, each spawning per-host server loops.
+	defer c.K.Shutdown()
 	ch := &runChooser{forced: o.forced, rng: o.rng, transcript: o.transcript}
 	if o.hashes {
 		ch.hashFn = func(n int, label func(int) string) uint64 { return stateHash(c, n, label) }
 	}
-	k.SetChooser(ch)
-
+	c.K.SetChooser(ch)
 	if o.maxSteps <= 0 {
 		o.maxSteps = DefaultMaxSteps
 	}
-	done := false
-	var appErr error
-	k.Spawn("mc-main", func(p *sim.Proc) {
-		appErr = inst.Main(p, c)
-		done = true
-	})
-	steps := 0
-	panicMsg := ""
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicMsg = fmt.Sprint(r)
-			}
-		}()
-		for !done && steps < o.maxSteps && k.Step() {
-			steps++
-		}
-	}()
-
-	res := &Result{
+	v, err := c.Judge("mc-main", inst.Main, o.maxSteps)
+	if err != nil {
+		return nil, fmt.Errorf("mc: workload %s: %w", w.Name, err)
+	}
+	return &Result{
+		Verdict:    v,
 		Choices:    ch.choices,
 		Widths:     ch.widths,
 		Hashes:     ch.hashes,
-		Steps:      steps,
-		Now:        k.Now(),
+		Now:        c.K.Now(),
 		Transcript: ch.lines,
-	}
-	// The trace oracle is the policy's consistency model: the SC
-	// witness checker for the sequentially consistent engines, the
-	// happens-before checker under lazy release consistency.
-	scViols := inst.C.Hosts[0].DSM.TraceCheck(inst.Rec.Ops())
-	switch {
-	case len(invs) > 0:
-		res.Outcome = InvariantViolation
-		res.Detail = invs[0].String()
-		if len(invs) > 1 {
-			res.Detail += fmt.Sprintf(" (+%d more)", len(invs)-1)
-		}
-	case len(scViols) > 0:
-		res.Outcome = SCViolation
-		res.Detail = strings.TrimSpace(sctrace.Report(scViols, 3))
-	case panicMsg != "":
-		res.Outcome = Panic
-		res.Detail = panicMsg
-	case !done && steps >= o.maxSteps:
-		res.Outcome = Livelock
-		res.Detail = fmt.Sprintf("step budget of %d exhausted at t=%v", o.maxSteps, k.Now())
-	case !done:
-		res.Outcome = Deadlock
-		res.Detail = fmt.Sprintf("event queue drained; stalled: %v", k.Stalled())
-	case appErr != nil:
-		res.Outcome = AppError
-		res.Detail = appErr.Error()
-	default:
-		res.Outcome = OK
-	}
-	// Reclaim the instance's goroutines: an exploration executes
-	// thousands of runs, each spawning per-host server loops.
-	k.Shutdown()
-	return res, nil
+	}, nil
 }
 
 // runChooser resolves kernel choice points from a forced prefix, then a
@@ -295,10 +189,7 @@ func (c *runChooser) Choose(now sim.Time, n int, label func(i int) string) int {
 // differ, which bounded exploration tolerates.
 func stateHash(c *cluster.Cluster, n int, label func(int) string) uint64 {
 	h := fnv.New64a()
-	for _, host := range c.Hosts {
-		host.DSM.WriteStateHash(h)
-		host.Sync.WriteStateHash(h)
-	}
+	c.WriteStateHash(h)
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], uint32(c.K.LivePending()))
 	h.Write(b[:])

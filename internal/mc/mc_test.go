@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dsm"
 )
 
@@ -15,7 +16,7 @@ func TestDefaultScheduleClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			t.Errorf("%s: default schedule: %s: %s", w.Name, res.Outcome, res.Detail)
 		}
 		if res.Steps == 0 || len(res.Choices) == 0 {

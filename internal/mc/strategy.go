@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/cluster"
 	"repro/internal/dsm"
 )
 
@@ -92,7 +93,7 @@ func RunDFS(w *Workload, mut dsm.Mutation, o DFSOpts) (*Report, error) {
 		if len(res.Choices) > rep.MaxPoints {
 			rep.MaxPoints = len(res.Choices)
 		}
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			rep.Violating = res
 			rep.Token = EncodeToken(w.Name, mut, res.Choices)
 			rep.Frontier = len(stack)
@@ -156,7 +157,7 @@ func RunRandom(w *Workload, mut dsm.Mutation, o RandomOpts) (*Report, error) {
 			rep.MaxPoints = len(res.Choices)
 		}
 		rep.Schedules = len(distinct)
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			rep.Violating = res
 			rep.Token = EncodeToken(w.Name, mut, res.Choices)
 			return rep, nil
@@ -203,7 +204,7 @@ func RunDelayBounded(w *Workload, mut dsm.Mutation, o DelayOpts) (*Report, error
 		if len(res.Choices) > rep.MaxPoints {
 			rep.MaxPoints = len(res.Choices)
 		}
-		if res.Outcome != OK {
+		if res.Outcome != cluster.OK {
 			rep.Violating = res
 			rep.Token = EncodeToken(w.Name, mut, res.Choices)
 			rep.Frontier = len(queue)

@@ -85,14 +85,13 @@ func mcParams() model.Params {
 // Directory and FailureDetection fields — only the crash workload turns
 // the failure detector on, so no other workload pays for the heartbeat
 // events; every other field is overwritten.
-func buildCluster(kinds []arch.Kind, engine cluster.Config, mut dsm.Mutation) (*cluster.Cluster, *sctrace.Recorder, error) {
+func buildCluster(kinds []arch.Kind, engine cluster.Config, mut dsm.Mutation) (*cluster.Cluster, error) {
 	hosts := make([]cluster.HostSpec, len(kinds))
 	for i, k := range kinds {
 		hosts[i] = cluster.HostSpec{Kind: k}
 	}
 	params := mcParams()
-	rec := sctrace.NewRecorder()
-	c, err := cluster.New(cluster.Config{
+	return cluster.New(cluster.Config{
 		Hosts:            hosts,
 		PageSize:         workloadPageSize,
 		SpaceSize:        workloadSpaceSize,
@@ -102,13 +101,9 @@ func buildCluster(kinds []arch.Kind, engine cluster.Config, mut dsm.Mutation) (*
 		Directory:        engine.Directory,
 		FailureDetection: engine.FailureDetection,
 		InvariantChecks:  true,
-		SCTrace:          rec,
+		SCTrace:          sctrace.NewRecorder(),
 		Mutation:         mut,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, rec, nil
 }
 
 // workloads is the registry, keyed by Name.
@@ -183,7 +178,7 @@ func rcWorkload() *Workload {
 		Name: "rc",
 		Desc: "2 hosts (Sun+Firefly), lazy release consistency: locked counter + open-interval pull",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, cluster.Config{Policy: dsm.PolicyRC}, mut)
+			c, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, cluster.Config{Policy: dsm.PolicyRC}, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -242,7 +237,7 @@ func rcWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
+			return &Instance{C: c, Main: main}, nil
 		},
 	}
 }
@@ -264,7 +259,7 @@ func quorumWorkload() *Workload {
 		Name: "quorum",
 		Desc: "3 hosts, SC-ABD majority quorum: cross-host read/write visibility",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, cluster.Config{Policy: dsm.PolicyQuorum}, mut)
+			c, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, cluster.Config{Policy: dsm.PolicyQuorum}, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -287,7 +282,7 @@ func quorumWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
+			return &Instance{C: c, Main: main}, nil
 		},
 	}
 }
@@ -307,7 +302,7 @@ func dynamicWorkload() *Workload {
 		Name: "dynamic",
 		Desc: "3 hosts, dynamic distributed manager: ownership chain + forwarded third-party requests",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, cluster.Config{Policy: dsm.PolicyMRSW, Directory: dsm.DirDynamic}, mut)
+			c, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, cluster.Config{Policy: dsm.PolicyMRSW, Directory: dsm.DirDynamic}, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -330,7 +325,7 @@ func dynamicWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
+			return &Instance{C: c, Main: main}, nil
 		},
 	}
 }
@@ -351,7 +346,7 @@ func crashWorkload() *Workload {
 		Name: "crash",
 		Desc: "3 hosts, owner crash before/after/during an ownership transfer + copyset recovery",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, cluster.Config{Policy: dsm.PolicyMRSW, FailureDetection: true}, mut)
+			c, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Firefly}, cluster.Config{Policy: dsm.PolicyMRSW, FailureDetection: true}, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -418,7 +413,7 @@ func crashWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
+			return &Instance{C: c, Main: main}, nil
 		},
 	}
 }
@@ -436,7 +431,7 @@ func basicWorkload() *Workload {
 		Name: "basic",
 		Desc: "2 hosts (Sun+Firefly), 2 pages: semaphore-locked counter + once-written slots",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, cluster.Config{Policy: dsm.PolicyMRSW}, mut)
+			c, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, cluster.Config{Policy: dsm.PolicyMRSW}, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -479,7 +474,7 @@ func basicWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
+			return &Instance{C: c, Main: main}, nil
 		},
 	}
 }
@@ -495,7 +490,7 @@ func matmulWorkload() *Workload {
 		Name: "matmul",
 		Desc: "3 hosts, 2×2 int matmul, one row per worker (3 pages)",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, cluster.Config{Policy: dsm.PolicyMRSW}, mut)
+			c, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly, arch.Sun}, cluster.Config{Policy: dsm.PolicyMRSW}, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -541,7 +536,7 @@ func matmulWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
+			return &Instance{C: c, Main: main}, nil
 		},
 	}
 }
@@ -557,7 +552,7 @@ func ringWorkload() *Workload {
 		Name: "ring",
 		Desc: "3 hosts, read-replicate then third-party write (copyset accuracy)",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Sun, arch.Sun}, cluster.Config{Policy: dsm.PolicyMRSW}, mut)
+			c, err := buildCluster([]arch.Kind{arch.Sun, arch.Sun, arch.Sun}, cluster.Config{Policy: dsm.PolicyMRSW}, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -576,7 +571,7 @@ func ringWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
+			return &Instance{C: c, Main: main}, nil
 		},
 	}
 }
@@ -589,7 +584,7 @@ func updateWorkload() *Workload {
 		Name: "update",
 		Desc: "2 hosts, write-update policy: sequenced write reaches the replica",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, cluster.Config{Policy: dsm.PolicyUpdate}, mut)
+			c, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, cluster.Config{Policy: dsm.PolicyUpdate}, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -607,7 +602,7 @@ func updateWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
+			return &Instance{C: c, Main: main}, nil
 		},
 	}
 }
@@ -622,7 +617,7 @@ func semWorkload() *Workload {
 		Name: "sem",
 		Desc: "2 hosts, dsync semaphore mutual exclusion under adversarial wakeups",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, cluster.Config{Policy: dsm.PolicyMRSW}, mut)
+			c, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, cluster.Config{Policy: dsm.PolicyMRSW}, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -655,7 +650,7 @@ func semWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
+			return &Instance{C: c, Main: main}, nil
 		},
 	}
 }
@@ -671,7 +666,7 @@ func barrierWorkload() *Workload {
 		Name: "barrier",
 		Desc: "2 hosts, dsync barrier, 2 rounds: no lost wakeups, no round skew",
 		Build: func(mut dsm.Mutation) (*Instance, error) {
-			c, rec, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, cluster.Config{Policy: dsm.PolicyMRSW}, mut)
+			c, err := buildCluster([]arch.Kind{arch.Sun, arch.Firefly}, cluster.Config{Policy: dsm.PolicyMRSW}, mut)
 			if err != nil {
 				return nil, err
 			}
@@ -702,7 +697,7 @@ func barrierWorkload() *Workload {
 				}
 				return nil
 			}
-			return &Instance{C: c, Rec: rec, Main: main}, nil
+			return &Instance{C: c, Main: main}, nil
 		},
 	}
 }
